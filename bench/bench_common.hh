@@ -141,13 +141,16 @@ benchJobs()
     return hardware > 0 ? hardware : 1;
 }
 
-/** Banner with the scale in effect. */
+/**
+ * Banner with the scale in effect. Benches that run at their own
+ * default scale pass the scale they actually use.
+ */
 inline void
-banner(const char *title)
+banner(const char *title,
+       double scale = campaignScaleFromEnv(defaultScale))
 {
-    const double scale = campaignScaleFromEnv(defaultScale);
     std::printf("=== %s ===\n", title);
-    std::printf("(session scale %.2f; XSER_FULL=1 for paper-scale "
+    std::printf("(session scale %g; XSER_FULL=1 for paper-scale "
                 "statistics; %u worker threads, XSER_JOBS to change)"
                 "\n\n",
                 scale, benchJobs());

@@ -1,14 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths: the
- * SECDED codec, parity, SRAM reads, cache word access, the full
- * hierarchy walk, RNG distributions, beam advancement, and the
- * parallel campaign engine at 1..8 worker threads. These guard the
+ * SECDED codec, parity, SRAM reads, cache word access and line
+ * allocation, the full hierarchy walk (warm, streaming, and missing to
+ * DRAM), the checkpoint checksum, RNG distributions, beam advancement,
+ * and the parallel campaign engine at 1..8 worker threads. These guard the
  * performance budget that makes paper-scale campaigns tractable.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
 #include "ecc/parity.hh"
 #include "ecc/secded.hh"
@@ -88,7 +90,8 @@ BM_CacheReadWordHit(benchmark::State &state)
     config.sizeBytes = 256 * 1024;
     config.associativity = 8;
     mem::Cache cache(config, &reporter);
-    std::vector<uint64_t> line(8, 42);
+    mem::LineData line;
+    line.fill(42);
     for (mem::Addr addr = 0; addr < 64 * 1024; addr += 64)
         cache.allocate(addr, line, false);
     mem::Addr addr = 0;
@@ -98,6 +101,28 @@ BM_CacheReadWordHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheReadWordHit);
+
+void
+BM_CacheAllocateLine(benchmark::State &state)
+{
+    // Streaming fills into a full L2-sized cache: every allocate evicts
+    // a victim, and every other victim is dirty and read out.
+    mem::EdacReporter reporter;
+    mem::CacheConfig config;
+    config.name = "bench";
+    config.sizeBytes = 256 * 1024;
+    config.associativity = 8;
+    mem::Cache cache(config, &reporter);
+    mem::LineData line;
+    line.fill(42);
+    mem::Addr addr = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            cache.allocate(addr, line, (addr & 64) != 0));
+        addr += 64;
+    }
+}
+BENCHMARK(BM_CacheAllocateLine);
 
 void
 BM_HierarchyReadWarm(benchmark::State &state)
@@ -129,6 +154,44 @@ BM_HierarchyReadStreaming(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HierarchyReadStreaming);
+
+void
+BM_MemoryStreamMiss(benchmark::State &state)
+{
+    // One word per line over four times the L3, after one warm-up
+    // pass: every read misses L1, L2 and L3 and fills from DRAM,
+    // evicting (dirty) lines at every level on the way.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(mem::MemorySystemConfig{}, &reporter);
+    const size_t lines = 4 * memory.config().l3Bytes / 64;
+    const mem::Addr base = memory.allocate(lines * 64, "bench");
+    for (size_t line = 0; line < lines; ++line)
+        memory.writeWord(0, base + 64 * line, line);
+    size_t line = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(memory.readWord(0, base + 64 * line));
+        line = line + 1 == lines ? 0 : line + 1;
+    }
+}
+BENCHMARK(BM_MemoryStreamMiss);
+
+void
+BM_CheckpointChecksum(benchmark::State &state)
+{
+    // The envelope checksum over a 1 MiB payload (prefix snapshots are
+    // ~62 MB, sealed once and opened once per replicate).
+    std::vector<uint8_t> payload(size_t{1} << 20);
+    Rng rng(7);
+    for (uint8_t &byte : payload)
+        byte = static_cast<uint8_t>(rng.nextU32());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            core::checkpointChecksum(payload.data(), payload.size()));
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_CheckpointChecksum);
 
 void
 BM_RngPoissonSmallMean(benchmark::State &state)

@@ -177,6 +177,12 @@ void
 TestSession::snapshotPrefix(SnapshotWriter &writer) const
 {
     XSER_ASSERT(prefixReady_, "snapshotPrefix needs a completed prefix");
+    // Reserve the stream once: the hierarchy dominates it, and the rest
+    // (cores, scrubber, workload bindings, goldens, the envelope header
+    // sealCheckpoint puts in front) fits the headroom. Reserved pages
+    // that are never written cost no memory.
+    writer.reserve(platform_->memory().snapshotBytesBound() +
+                   (size_t{8} << 20));
     platform_->snapshot(writer);
     scrubber_->snapshot(writer);
     writer.u64(suite_.size());

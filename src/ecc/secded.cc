@@ -153,7 +153,7 @@ SecdedCodec::decode(uint64_t data, uint8_t check)
     // Odd parity with a valid syndrome: flip the indicated position.
     // For a genuine single-bit error this is an exact repair; for >= 3
     // flips it silently lands on the wrong bit (the caller can
-    // ground-truth this against its shadow copy and reclassify as
+    // ground-truth this against the stored truth and reclassify as
     // Miscorrected).
     if (isCheckPosition(syndrome)) {
         const int check_index =

@@ -11,30 +11,39 @@
 
 namespace xser::mem {
 
-Cache::Cache(const CacheConfig &config, EdacReporter *reporter)
+Cache::Cache(const CacheConfig &config, EdacReporter *reporter,
+             ResidencyTable *residency, unsigned column)
     : config_(config),
       geometry_(config.sizeBytes, config.lineBytes, config.associativity),
       reporter_(reporter),
       dataArray_(config.name + ".data",
                  geometry_.numLines() * geometry_.wordsPerLine(),
-                 config.protection)
+                 config.protection),
+      residency_(residency), residencyColumn_(column)
 {
     XSER_ASSERT(reporter_ != nullptr, "cache needs an EDAC reporter");
-    meta_.resize(geometry_.numLines());
-    filter_.assign(size_t{1} << filterBucketBits, 0);
+    XSER_ASSERT(geometry_.wordsPerLine() == lineWords,
+                msg("cache ", config_.name, " needs 64-byte lines"));
+    tagValid_.assign(geometry_.numLines(), 0);
+    stamp_.assign(geometry_.numLines(), 0);
+    if (residency_ == nullptr) {
+        ownResidency_ = std::make_unique<ResidencyTable>(1);
+        residency_ = ownResidency_.get();
+        residencyColumn_ = 0;
+    }
 }
 
 unsigned
 Cache::victimWay(size_t set) const
 {
+    const size_t first = set * config_.associativity;
     unsigned victim = 0;
     uint64_t oldest = UINT64_MAX;
     for (unsigned way = 0; way < config_.associativity; ++way) {
-        const auto &line = meta_[set * config_.associativity + way];
-        if (!line.valid)
+        if ((tagValid_[first + way] & 1) == 0)
             return way;
-        if (line.lastUse < oldest) {
-            oldest = line.lastUse;
+        if (stamp_[first + way] < oldest) {
+            oldest = stamp_[first + way];
             victim = way;
         }
     }
@@ -82,18 +91,13 @@ Cache::isDirty(Addr addr) const
 }
 
 bool
-Cache::readLine(Addr addr, std::vector<uint64_t> &out, int way)
+Cache::readOut(size_t slot, LineData &out)
 {
-    XSER_ASSERT(way >= 0, msg("readLine miss in ", config_.name));
-    const size_t set = geometry_.setIndex(addr);
-    auto &line = meta_[set * config_.associativity + way];
-    line.lastUse = ++useCounter_;
-
-    const size_t base = lineWordBase(set, way);
-    const size_t words = geometry_.wordsPerLine();
-    out.resize(words);
+    const size_t base = slot * lineWords;
+    if (dataArray_.readRange(base, lineWords, out.data()))
+        return false;
     bool uncorrectable = false;
-    for (size_t i = 0; i < words; ++i) {
+    for (size_t i = 0; i < lineWords; ++i) {
         ReadOutcome outcome = dataArray_.read(base + i);
         if (outcome.status != ecc::CheckStatus::Clean) {
             postEdac(outcome);
@@ -105,56 +109,46 @@ Cache::readLine(Addr addr, std::vector<uint64_t> &out, int way)
     return uncorrectable;
 }
 
-EvictedLine
-Cache::allocate(Addr addr, const std::vector<uint64_t> &line, bool dirty)
+bool
+Cache::readLine(Addr addr, LineData &out, int way)
 {
-    XSER_ASSERT(line.size() == geometry_.wordsPerLine(),
-                "allocate with wrong line length");
+    XSER_ASSERT(way >= 0, msg("readLine miss in ", config_.name));
+    const size_t slot = slotOf(addr, way);
+    touch(slot, false);
+    return readOut(slot, out);
+}
+
+EvictedLine
+Cache::allocate(Addr addr, const LineData &line, bool dirty)
+{
     const size_t set = geometry_.setIndex(addr);
-    // A present line always has a nonzero filter bucket, so the cheap
-    // filter test screens the double-allocate invariant without a tag
+    // A present line always has a nonzero residency count, so the cheap
+    // count test screens the double-allocate invariant without a tag
     // search on the (overwhelmingly common) definitely-absent case.
     XSER_ASSERT(!mayContain(addr) || findWay(addr) < 0,
                 msg("allocate of already-present line in ", config_.name));
 
-    const unsigned way = victimWay(set);
-    auto &slot = meta_[set * config_.associativity + way];
+    const size_t slot =
+        set * config_.associativity + victimWay(set);
 
     EvictedLine evicted;
-    if (slot.valid) {
+    if (tagValid_[slot] & 1) {
         ++stats_.evictions;
         evicted.valid = true;
-        evicted.dirty = slot.dirty;
-        evicted.address = geometry_.lineAddress(slot.tag, set);
-        if (slot.dirty) {
+        evicted.dirty = (stamp_[slot] & 1) != 0;
+        evicted.address = geometry_.lineAddress(tagValid_[slot] >> 1, set);
+        if (evicted.dirty) {
             // Checked read-out: a writeback passes through the codec.
-            const size_t base = lineWordBase(set, way);
-            const size_t words = geometry_.wordsPerLine();
-            evicted.data.resize(words);
-            for (size_t i = 0; i < words; ++i) {
-                ReadOutcome outcome = dataArray_.read(base + i);
-                if (outcome.status != ecc::CheckStatus::Clean) {
-                    postEdac(outcome);
-                    if (outcomeUncorrectable(outcome))
-                        evicted.hadUncorrectable = true;
-                }
-                evicted.data[i] = outcome.value;
-            }
+            evicted.hadUncorrectable = readOut(slot, evicted.data);
             ++stats_.writebacks;
         }
+        residencyRemove(evicted.address);
     }
 
-    if (evicted.valid)
-        filterRemove(evicted.address);
-    filterAdd(addr);
-    slot.tag = geometry_.tag(addr);
-    slot.valid = true;
-    slot.dirty = dirty;
-    slot.lastUse = ++useCounter_;
-
-    const size_t base = lineWordBase(set, way);
-    for (size_t i = 0; i < line.size(); ++i)
-        dataArray_.write(base + i, line[i]);
+    residencyAdd(addr);
+    tagValid_[slot] = (geometry_.tag(addr) << 1) | 1;
+    stamp_[slot] = (++useCounter_ << 1) | (dirty ? 1 : 0);
+    dataArray_.writeRange(slot * lineWords, line.data(), lineWords);
     return evicted;
 }
 
@@ -170,54 +164,47 @@ Cache::invalidate(Addr addr)
 void
 Cache::invalidateWay(Addr addr, int way)
 {
-    const size_t set = geometry_.setIndex(addr);
-    auto &line = meta_[set * config_.associativity +
-                       static_cast<unsigned>(way)];
-    line.valid = false;
-    line.dirty = false;
-    filterRemove(addr);
+    const size_t slot = slotOf(addr, way);
+    tagValid_[slot] &= ~Addr{1};
+    stamp_[slot] &= ~uint64_t{1};
+    residencyRemove(addr);
     ++stats_.invalidations;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &line : meta_) {
-        line.valid = false;
-        line.dirty = false;
-    }
-    std::fill(filter_.begin(), filter_.end(), 0);
+    for (Addr &tag : tagValid_)
+        tag &= ~Addr{1};
+    for (uint64_t &stamp : stamp_)
+        stamp &= ~uint64_t{1};
+    residency_->clearColumn(residencyColumn_);
 }
 
 Cache::ScrubResult
 Cache::scrubLine(size_t line_index)
 {
-    XSER_ASSERT(line_index < meta_.size(), "scrub index out of range");
+    XSER_ASSERT(line_index < tagValid_.size(), "scrub index out of range");
     ScrubResult result;
-    auto &slot = meta_[line_index];
-    if (!slot.valid)
+    if ((tagValid_[line_index] & 1) == 0)
         return result;
     result.scanned = true;
-    result.dirty = slot.dirty;
+    result.dirty = (stamp_[line_index] & 1) != 0;
 
     const size_t set = line_index / config_.associativity;
-    const unsigned way =
-        static_cast<unsigned>(line_index % config_.associativity);
-    result.address = geometry_.lineAddress(slot.tag, set);
+    result.address = geometry_.lineAddress(tagValid_[line_index] >> 1, set);
 
-    const size_t base = lineWordBase(set, way);
-    const size_t words = geometry_.wordsPerLine();
+    const size_t base = line_index * lineWords;
     if (dataArray_.fastPath() &&
-        !dataArray_.anyCorruptInRange(base, words)) {
+        !dataArray_.anyCorruptInRange(base, lineWords)) {
         // A patrol pass over a clean line is pure reads of clean words:
         // no EDAC posting, no trace, no invalidation, and the read-out
         // data is only consumed on a dirty uncorrectable hit -- which a
         // clean line cannot be. Skip the scan entirely.
         return result;
     }
-    result.data.resize(words);
     bool found_error = false;
-    for (size_t i = 0; i < words; ++i) {
+    for (size_t i = 0; i < lineWords; ++i) {
         ReadOutcome outcome = dataArray_.read(base + i);
         postEdac(outcome);
         if (outcomeUncorrectable(outcome))
@@ -238,42 +225,33 @@ Cache::scrubLine(size_t line_index)
     if (result.uncorrectable) {
         // Poisoned line: drop it so it cannot re-report every pass. The
         // owner writes dirty data (corrupt as it is) downstream.
-        slot.valid = false;
-        slot.dirty = false;
-        filterRemove(result.address);
+        tagValid_[line_index] &= ~Addr{1};
+        stamp_[line_index] &= ~uint64_t{1};
+        residencyRemove(result.address);
         ++stats_.invalidations;
     }
     return result;
 }
 
-std::vector<std::pair<Addr, std::vector<uint64_t>>>
+std::vector<std::pair<Addr, LineData>>
 Cache::drainAll()
 {
-    std::vector<std::pair<Addr, std::vector<uint64_t>>> dirty_lines;
-    for (size_t index = 0; index < meta_.size(); ++index) {
-        auto &slot = meta_[index];
-        if (!slot.valid)
+    std::vector<std::pair<Addr, LineData>> dirty_lines;
+    for (size_t slot = 0; slot < tagValid_.size(); ++slot) {
+        if ((tagValid_[slot] & 1) == 0)
             continue;
-        if (slot.dirty) {
-            const size_t set = index / config_.associativity;
-            const unsigned way =
-                static_cast<unsigned>(index % config_.associativity);
-            const size_t base = lineWordBase(set, way);
-            const size_t words = geometry_.wordsPerLine();
-            std::vector<uint64_t> data(words);
-            for (size_t i = 0; i < words; ++i) {
-                ReadOutcome outcome = dataArray_.read(base + i);
-                postEdac(outcome);
-                data[i] = outcome.value;
-            }
+        if (stamp_[slot] & 1) {
+            const size_t set = slot / config_.associativity;
+            LineData data;
+            readOut(slot, data);
             dirty_lines.emplace_back(
-                geometry_.lineAddress(slot.tag, set), std::move(data));
+                geometry_.lineAddress(tagValid_[slot] >> 1, set), data);
             ++stats_.writebacks;
         }
-        slot.valid = false;
-        slot.dirty = false;
+        tagValid_[slot] &= ~Addr{1};
+        stamp_[slot] &= ~uint64_t{1};
     }
-    std::fill(filter_.begin(), filter_.end(), 0);
+    residency_->clearColumn(residencyColumn_);
     return dirty_lines;
 }
 
@@ -281,21 +259,21 @@ double
 Cache::occupancy() const
 {
     size_t valid = 0;
-    for (const auto &line : meta_)
-        valid += line.valid ? 1 : 0;
+    for (const Addr tag : tagValid_)
+        valid += tag & 1;
     return static_cast<double>(valid) /
-           static_cast<double>(meta_.size());
+           static_cast<double>(tagValid_.size());
 }
 
 void
 Cache::snapshot(SnapshotWriter &writer) const
 {
-    writer.u64(meta_.size());
-    for (const auto &line : meta_) {
-        writer.u64(line.tag);
-        writer.u8(static_cast<uint8_t>((line.valid ? 1u : 0u) |
-                                       (line.dirty ? 2u : 0u)));
-        writer.u64(line.lastUse);
+    writer.u64(tagValid_.size());
+    for (size_t slot = 0; slot < tagValid_.size(); ++slot) {
+        writer.u64(tagValid_[slot] >> 1);
+        writer.u8(static_cast<uint8_t>((tagValid_[slot] & 1) |
+                                       ((stamp_[slot] & 1) << 1)));
+        writer.u64(stamp_[slot] >> 1);
     }
     writer.u64(useCounter_);
     writer.u64(stats_.hits);
@@ -310,21 +288,20 @@ void
 Cache::restore(SnapshotReader &reader)
 {
     const uint64_t lines = reader.u64();
-    XSER_ASSERT(lines == meta_.size(),
+    XSER_ASSERT(lines == tagValid_.size(),
                 msg("snapshot shape mismatch restoring ", config_.name));
-    std::fill(filter_.begin(), filter_.end(), 0);
-    for (size_t index = 0; index < meta_.size(); ++index) {
-        auto &line = meta_[index];
-        line.tag = reader.u64();
+    residency_->clearColumn(residencyColumn_);
+    for (size_t slot = 0; slot < tagValid_.size(); ++slot) {
+        const Addr tag = reader.u64();
         const uint8_t flags = reader.u8();
-        line.valid = (flags & 1u) != 0;
-        line.dirty = (flags & 2u) != 0;
-        line.lastUse = reader.u64();
-        // The residency filter is a pure function of the valid lines;
-        // rebuilding it here keeps it exact without serializing it.
-        if (line.valid)
-            filterAdd(geometry_.lineAddress(
-                line.tag, index / config_.associativity));
+        const bool valid = (flags & 1u) != 0;
+        tagValid_[slot] = (tag << 1) | (valid ? 1 : 0);
+        stamp_[slot] = (reader.u64() << 1) | ((flags >> 1) & 1u);
+        // The residency counts are a pure function of the valid lines;
+        // rebuilding them here keeps them exact without serializing.
+        if (valid)
+            residencyAdd(geometry_.lineAddress(
+                tag, slot / config_.associativity));
     }
     useCounter_ = reader.u64();
     stats_.hits = reader.u64();

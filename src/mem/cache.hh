@@ -13,8 +13,11 @@
 #ifndef XSER_MEM_CACHE_HH
 #define XSER_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_geometry.hh"
@@ -40,13 +43,73 @@ struct CacheConfig {
     CacheLevel level = CacheLevel::L2;
 };
 
+/** 64-bit words per line: every level uses 64-byte lines. */
+inline constexpr size_t lineWords = 8;
+
+/** One line's data, moved between levels by value. */
+using LineData = std::array<uint64_t, lineWords>;
+
 /** Victim line handed back by allocate(). */
 struct EvictedLine {
     bool valid = false;          ///< a line was evicted
     bool dirty = false;          ///< it needs writing back
     Addr address = 0;            ///< base address of the victim line
-    std::vector<uint64_t> data;  ///< victim data (checked read-out)
+    LineData data{};             ///< victim data (checked read-out,
+                                 ///< dirty victims only)
     bool hadUncorrectable = false; ///< a UE fired while reading it out
+};
+
+/**
+ * Resident-line counts per hash bucket for a group of caches, stored
+ * bucket-major: row b holds every member cache's count for bucket b,
+ * so a coherence pass over all of them reads one row. A cache's
+ * counts are updated by every path that changes its residency
+ * (allocate, eviction, invalidation, drain, scrub poisoning), so a
+ * zero count is exact -- hash collisions only cause spurious probes,
+ * never missed ones.
+ */
+class ResidencyTable
+{
+  public:
+    static constexpr unsigned bucketBits = 12;
+
+    /** @param columns Number of member caches. */
+    explicit ResidencyTable(unsigned columns)
+        : columns_(columns), counts_((size_t{1} << bucketBits) * columns)
+    {
+    }
+
+    /** Bucket of a line base address. */
+    static size_t
+    bucket(Addr line_base)
+    {
+        return static_cast<size_t>((line_base * 0x9e3779b97f4a7c15ULL) >>
+                                   (64 - bucketBits));
+    }
+
+    /** Counts of every member cache for one bucket. */
+    const uint32_t *row(size_t bucket) const
+    {
+        return &counts_[bucket * columns_];
+    }
+
+    uint32_t &
+    count(size_t bucket, unsigned column)
+    {
+        return counts_[bucket * columns_ + column];
+    }
+
+    /** Zero one member cache's counts. */
+    void
+    clearColumn(unsigned column)
+    {
+        for (size_t b = 0; b < (size_t{1} << bucketBits); ++b)
+            counts_[b * columns_ + column] = 0;
+    }
+
+  private:
+    unsigned columns_;
+    std::vector<uint32_t> counts_;
 };
 
 /** Hit/miss and protection statistics for one cache. */
@@ -66,10 +129,14 @@ class Cache
 {
   public:
     /**
-     * @param config Geometry, protection, and policy.
+     * @param config Geometry, protection, and policy (64-byte lines).
      * @param reporter EDAC sink for CE/UE events (may not be null).
+     * @param residency Shared residency table to keep this cache's
+     *        counts in (null = a private one-column table).
+     * @param column This cache's column in `residency`.
      */
-    Cache(const CacheConfig &config, EdacReporter *reporter);
+    Cache(const CacheConfig &config, EdacReporter *reporter,
+          ResidencyTable *residency = nullptr, unsigned column = 0);
 
     const std::string &name() const { return config_.name; }
     const CacheConfig &config() const { return config_; }
@@ -96,11 +163,11 @@ class Cache
     int
     findWay(Addr addr) const
     {
-        const size_t set = geometry_.setIndex(addr);
-        const Addr tag = geometry_.tag(addr);
-        const LineMeta *line = &meta_[set * config_.associativity];
+        const Addr key = (geometry_.tag(addr) << 1) | 1;
+        const Addr *tags =
+            &tagValid_[geometry_.setIndex(addr) * config_.associativity];
         for (unsigned way = 0; way < config_.associativity; ++way) {
-            if (line[way].valid && line[way].tag == tag)
+            if (tags[way] == key)
                 return static_cast<int>(way);
         }
         return -1;
@@ -109,22 +176,6 @@ class Cache
     /** True when the line containing addr is present. */
     bool contains(Addr addr) const { return findWay(addr) >= 0; }
 
-    /**
-     * Conservative presence test from the residency filter: false means
-     * the line is definitely absent (no tag search needed); true means
-     * a tag search is required. The filter counts resident lines per
-     * hash bucket and is updated by every path that changes residency
-     * (allocate, eviction, invalidation, drain, scrub poisoning), so a
-     * zero count is exact -- hash collisions only cause spurious
-     * probes, never missed ones. The hierarchy owner uses this to make
-     * coherence snoops over non-sharing caches O(1).
-     */
-    bool
-    mayContain(Addr addr) const
-    {
-        return filter_[filterBucket(addr)] != 0;
-    }
-
     /** True when the line containing addr is present and dirty. */
     bool isDirty(Addr addr) const;
 
@@ -132,9 +183,7 @@ class Cache
     bool
     wayDirty(Addr addr, int way) const
     {
-        const size_t set = geometry_.setIndex(addr);
-        return meta_[set * config_.associativity +
-                     static_cast<unsigned>(way)].dirty;
+        return (stamp_[slotOf(addr, way)] & 1) != 0;
     }
 
     /**
@@ -149,13 +198,10 @@ class Cache
     readWord(Addr addr, int way)
     {
         XSER_ASSERT(way >= 0, msg("readWord miss in ", config_.name));
-        const size_t set = geometry_.setIndex(addr);
-        auto &line = meta_[set * config_.associativity + way];
-        line.lastUse = ++useCounter_;
-
-        const size_t index =
-            lineWordBase(set, way) + geometry_.wordOffset(addr);
-        ReadOutcome outcome = dataArray_.read(index);
+        const size_t slot = slotOf(addr, way);
+        touch(slot, false);
+        ReadOutcome outcome =
+            dataArray_.read(slot * lineWords + geometry_.wordOffset(addr));
         // Clean outcomes post nothing (silent escapes are by definition
         // invisible to EDAC), so the call is skipped for them.
         if (outcome.status != ecc::CheckStatus::Clean)
@@ -177,42 +223,51 @@ class Cache
     writeWord(Addr addr, uint64_t value, int way)
     {
         XSER_ASSERT(way >= 0, msg("writeWord miss in ", config_.name));
-        const size_t set = geometry_.setIndex(addr);
-        auto &line = meta_[set * config_.associativity + way];
-        line.lastUse = ++useCounter_;
-        if (config_.writePolicy == WritePolicy::WriteBack)
-            line.dirty = true;
+        const size_t slot = slotOf(addr, way);
+        touch(slot, config_.writePolicy == WritePolicy::WriteBack);
+        dataArray_.write(slot * lineWords + geometry_.wordOffset(addr),
+                         value);
+    }
 
-        const size_t index =
-            lineWordBase(set, way) + geometry_.wordOffset(addr);
-        dataArray_.write(index, value);
+    /**
+     * Overwrite the whole line at (addr, way) -- from findWay(). Same
+     * effect as one writeWord() per word in ascending order: the LRU
+     * clock advances once per word.
+     */
+    void
+    writeLine(Addr addr, const LineData &line, int way)
+    {
+        XSER_ASSERT(way >= 0, msg("writeLine miss in ", config_.name));
+        const size_t slot = slotOf(addr, way);
+        useCounter_ += lineWords - 1;
+        touch(slot, config_.writePolicy == WritePolicy::WriteBack);
+        dataArray_.writeRange(slot * lineWords, line.data(), lineWords);
     }
 
     /**
      * Checked read-out of the full line containing addr (for fills to an
      * upper level or writebacks). The line must be present.
      *
-     * @param out Receives wordsPerLine() words.
+     * @param out Receives the line's words.
      * @return true when any word raised an uncorrectable error.
      */
-    bool readLine(Addr addr, std::vector<uint64_t> &out)
+    bool readLine(Addr addr, LineData &out)
     {
         return readLine(addr, out, findWay(addr));
     }
 
     /** As readLine(addr, out), with the way already found. */
-    bool readLine(Addr addr, std::vector<uint64_t> &out, int way);
+    bool readLine(Addr addr, LineData &out, int way);
 
     /**
      * Install a line (write-allocate or fill).
      *
      * @param addr Any address within the line.
-     * @param line wordsPerLine() words of data.
+     * @param line The line's data.
      * @param dirty Install state (true for write-allocate in WB caches).
      * @return The evicted victim, if one had to make room.
      */
-    EvictedLine allocate(Addr addr, const std::vector<uint64_t> &line,
-                         bool dirty);
+    EvictedLine allocate(Addr addr, const LineData &line, bool dirty);
 
     /** Drop the line containing addr if present (no writeback). */
     void invalidate(Addr addr);
@@ -236,7 +291,7 @@ class Cache
         bool uncorrectable = false;   ///< a UE was found in it
         bool dirty = false;           ///< it was dirty (needs writeback)
         Addr address = 0;             ///< line base address
-        std::vector<uint64_t> data;   ///< read-out data (when dirty UE)
+        LineData data{};              ///< read-out data (when dirty UE)
     };
 
     /**
@@ -254,12 +309,13 @@ class Cache
      *
      * @return (address, data) pairs that must be written downstream.
      */
-    std::vector<std::pair<Addr, std::vector<uint64_t>>> drainAll();
+    std::vector<std::pair<Addr, LineData>> drainAll();
 
     /**
-     * Serialize the checkpointable state: line metadata, LRU counter,
-     * statistics, and the protected data array. The residency filter
-     * is derived state and is recomputed on restore.
+     * Serialize the checkpointable state: line metadata (invalid lines
+     * keep their last tag), LRU counter, statistics, and the protected
+     * data array. The residency counts are derived state and are
+     * recomputed on restore.
      */
     void snapshot(SnapshotWriter &writer) const;
 
@@ -273,28 +329,64 @@ class Cache
     bool arrayClean() const { return dataArray_.corruptWords() == 0; }
 
   private:
-    /** Residency-filter bucket of the line containing addr. */
-    size_t
-    filterBucket(Addr addr) const
+    /**
+     * Conservative presence test from the residency counts: false
+     * means the line is definitely absent, true that a tag search is
+     * needed. (The hierarchy owner reads the shared table's rows
+     * directly.)
+     */
+    bool
+    mayContain(Addr addr) const
     {
-        return static_cast<size_t>(
-            (geometry_.lineBase(addr) * 0x9e3779b97f4a7c15ULL) >>
-            (64 - filterBucketBits));
+        return residency_->row(residencyBucket(addr))[residencyColumn_] !=
+               0;
     }
 
-    void filterAdd(Addr addr) { ++filter_[filterBucket(addr)]; }
-    void filterRemove(Addr addr) { --filter_[filterBucket(addr)]; }
+    /** Residency-table bucket of the line containing addr. */
+    size_t
+    residencyBucket(Addr addr) const
+    {
+        return ResidencyTable::bucket(geometry_.lineBase(addr));
+    }
+
+    void
+    residencyAdd(Addr addr)
+    {
+        ++residency_->count(residencyBucket(addr), residencyColumn_);
+    }
+
+    void
+    residencyRemove(Addr addr)
+    {
+        --residency_->count(residencyBucket(addr), residencyColumn_);
+    }
+
+    /** Line slot (set * associativity + way) of a found way. */
+    size_t
+    slotOf(Addr addr, int way) const
+    {
+        return geometry_.setIndex(addr) * config_.associativity +
+               static_cast<unsigned>(way);
+    }
+
+    /** Stamp a slot as just used, marking it dirty if `dirty`. */
+    void
+    touch(size_t slot, bool dirty)
+    {
+        stamp_[slot] = (++useCounter_ << 1) | (stamp_[slot] & 1) |
+                       (dirty ? 1 : 0);
+    }
 
     /** Victim way in addr's set (invalid way first, else LRU). */
     unsigned victimWay(size_t set) const;
 
-    /** Base index of a line's words in the data array. */
-    size_t
-    lineWordBase(size_t set, unsigned way) const
-    {
-        return (set * config_.associativity + way) *
-               geometry_.wordsPerLine();
-    }
+    /**
+     * Checked read-out of line slot `slot` into `out`, posting EDAC
+     * events word by word (one bulk copy when the line is clean).
+     *
+     * @return true when any word was left uncorrectable.
+     */
+    bool readOut(size_t slot, LineData &out);
 
     /** Post an EDAC event matching a read outcome, if any. */
     void postEdac(const ReadOutcome &outcome);
@@ -311,17 +403,21 @@ class Cache
     SramArray dataArray_;
     const Tick *now_ = nullptr;
 
-    struct LineMeta {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lastUse = 0;
-    };
-    std::vector<LineMeta> meta_;  ///< numSets * associativity entries
+    /**
+     * Per line slot (numSets * associativity): tag << 1 | valid, so a
+     * tag search compares one word per way. Invalidation clears only
+     * the valid bit; the stale tag is kept (and snapshotted).
+     */
+    std::vector<Addr> tagValid_;
+    /**
+     * Per slot: LRU timestamp << 1 | dirty. Timestamps are unique, so
+     * comparing whole words orders slots by timestamp alone.
+     */
+    std::vector<uint64_t> stamp_;
 
-    static constexpr unsigned filterBucketBits = 12;
-    /** Resident-line counts per hash bucket (see mayContain). */
-    std::vector<uint32_t> filter_;
+    std::unique_ptr<ResidencyTable> ownResidency_;  ///< when not shared
+    ResidencyTable *residency_;
+    unsigned residencyColumn_;
 
     uint64_t useCounter_ = 0;
     CacheStats stats_;

@@ -5,7 +5,7 @@
 
 #include "mem/memory_system.hh"
 
-#include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 #include "telemetry/metrics.hh"
@@ -17,11 +17,8 @@ namespace {
 constexpr Addr pageBytes = 4096;
 constexpr size_t pageWords = pageBytes / 8;
 
-inline Addr
-pageBase(Addr addr)
-{
-    return addr & ~(pageBytes - 1);
-}
+/** Page-table bound: 64 GiB of simulated physical memory. */
+constexpr size_t maxDramPages = size_t{1} << 24;
 
 } // namespace
 
@@ -34,6 +31,8 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
         fatal(msg("core count must be a positive even number, got ",
                   config_.numCores));
 
+    const unsigned pairs = config_.numCores / 2;
+    residency_ = std::make_unique<ResidencyTable>(config_.numCores + pairs);
     for (unsigned core = 0; core < config_.numCores; ++core) {
         CacheConfig l1;
         l1.name = msg("l1d.", core);
@@ -43,7 +42,8 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
         l1.protection = config_.l1Protection;
         l1.writePolicy = WritePolicy::WriteThrough;
         l1.level = CacheLevel::L1;
-        l1d_.push_back(std::make_unique<Cache>(l1, reporter_));
+        l1d_.push_back(
+            std::make_unique<Cache>(l1, reporter_, residency_.get(), core));
 
         l1i_.push_back(std::make_unique<RefetchableArray>(
             msg("l1i.", core), config_.l1iBytes / 8, CacheLevel::L1,
@@ -53,7 +53,6 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
             reporter_, config_.contentSeed ^ (0x2222ULL * (core + 1))));
     }
 
-    const unsigned pairs = config_.numCores / 2;
     for (unsigned pair = 0; pair < pairs; ++pair) {
         CacheConfig l2;
         l2.name = msg("l2.", pair);
@@ -63,7 +62,8 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
         l2.protection = config_.l2Protection;
         l2.writePolicy = WritePolicy::WriteBack;
         l2.level = CacheLevel::L2;
-        l2_.push_back(std::make_unique<Cache>(l2, reporter_));
+        l2_.push_back(std::make_unique<Cache>(
+            l2, reporter_, residency_.get(), config_.numCores + pair));
     }
 
     CacheConfig l3;
@@ -188,64 +188,68 @@ MemorySystem::resetHeap()
 }
 
 uint64_t *
-MemorySystem::dramWordSlot(Addr addr)
-{
-    auto &page = dramPages_[pageBase(addr)];
-    if (page.empty())
-        page.assign(pageWords, 0);
-    return &page[(addr & (pageBytes - 1)) >> 3];
-}
-
-void
-MemorySystem::dramReadLine(Addr line_addr, std::vector<uint64_t> &out)
+MemorySystem::dramLine(Addr line_addr)
 {
     // Lines never straddle pages (both are powers of two with
-    // lineBytes <= pageBytes), so one page lookup serves the whole line.
-    const size_t words = config_.lineBytes / 8;
-    out.resize(words);
-    const uint64_t *slot = dramWordSlot(line_addr);
-    for (size_t i = 0; i < words; ++i)
-        out[i] = slot[i];
+    // lineBytes <= pageBytes), so one page serves the whole line.
+    const Addr page = line_addr / pageBytes;
+    if (page >= dramPages_.size()) {
+        if (page >= maxDramPages)
+            fatal(msg("DRAM address ", line_addr,
+                      " beyond the simulated 64 GiB"));
+        dramPages_.resize(static_cast<size_t>(page) + 1);
+    }
+    std::unique_ptr<DramPage> &slot = dramPages_[page];
+    if (!slot)
+        slot = std::make_unique<DramPage>();
+    return slot->data() + ((line_addr & (pageBytes - 1)) >> 3);
 }
 
 void
-MemorySystem::dramWriteLine(Addr line_addr,
-                            const std::vector<uint64_t> &line)
+MemorySystem::dramReadLine(Addr line_addr, LineData &out)
 {
-    uint64_t *slot = dramWordSlot(line_addr);
-    for (size_t i = 0; i < line.size(); ++i)
-        slot[i] = line[i];
+    std::memcpy(out.data(), dramLine(line_addr), sizeof(LineData));
+}
+
+void
+MemorySystem::dramWriteLine(Addr line_addr, const LineData &line)
+{
+    std::memcpy(dramLine(line_addr), line.data(), sizeof(LineData));
 }
 
 void
 MemorySystem::snoopOtherL2s(unsigned writing_pair, Addr line_addr)
 {
+    // One row holds every L2's residency count for this line's bucket.
+    const uint32_t *counts =
+        residency_->row(ResidencyTable::bucket(line_addr)) + l1d_.size();
+    uint64_t filtered = 0;
     for (unsigned pair = 0; pair < l2_.size(); ++pair) {
         if (pair == writing_pair)
             continue;
-        Cache &other = *l2_[pair];
-        telemetry::count(telemetry::Counter::SnoopProbes);
-        // Residency-filter early-out: a zero bucket count proves the
-        // line absent, so the snoop is a no-op without a tag search.
-        if (config_.fastPath && !other.mayContain(line_addr)) {
-            telemetry::count(telemetry::Counter::SnoopsFiltered);
+        // Residency early-out: a zero count proves the line absent, so
+        // the snoop is a no-op without a tag search.
+        if (config_.fastPath && counts[pair] == 0) {
+            ++filtered;
             continue;
         }
+        Cache &other = *l2_[pair];
         const int way = other.findWay(line_addr);
         if (way < 0)
             continue;
         if (other.wayDirty(line_addr, way)) {
-            std::vector<uint64_t> line;
+            LineData line;
             other.readLine(line_addr, line, way);
             writeLineToL3(line_addr, line);
         }
         other.invalidateWay(line_addr, way);
     }
+    telemetry::count(telemetry::Counter::SnoopProbes, l2_.size() - 1);
+    telemetry::count(telemetry::Counter::SnoopsFiltered, filtered);
 }
 
 void
-MemorySystem::installL3(Addr line_addr, const std::vector<uint64_t> &line,
-                        bool dirty)
+MemorySystem::installL3(Addr line_addr, const LineData &line, bool dirty)
 {
     EvictedLine victim = l3_->allocate(line_addr, line, dirty);
     if (victim.valid && victim.dirty)
@@ -253,20 +257,18 @@ MemorySystem::installL3(Addr line_addr, const std::vector<uint64_t> &line,
 }
 
 void
-MemorySystem::writeLineToL3(Addr line_addr,
-                            const std::vector<uint64_t> &line)
+MemorySystem::writeLineToL3(Addr line_addr, const LineData &line)
 {
     const int way = l3_->findWay(line_addr);
     if (way >= 0) {
-        for (size_t i = 0; i < line.size(); ++i)
-            l3_->writeWord(line_addr + 8 * i, line[i], way);
+        l3_->writeLine(line_addr, line, way);
         return;
     }
     installL3(line_addr, line, true);
 }
 
 void
-MemorySystem::readLineFromL3(Addr line_addr, std::vector<uint64_t> &out)
+MemorySystem::readLineFromL3(Addr line_addr, LineData &out)
 {
     cycles_ += config_.l3HitCycles;
     const int way = l3_->findWay(line_addr);
@@ -301,8 +303,8 @@ MemorySystem::readLineFromL3(Addr line_addr, std::vector<uint64_t> &out)
 }
 
 void
-MemorySystem::installL2(unsigned pair, Addr line_addr,
-                        const std::vector<uint64_t> &line, bool dirty)
+MemorySystem::installL2(unsigned pair, Addr line_addr, const LineData &line,
+                        bool dirty)
 {
     EvictedLine victim = l2_[pair]->allocate(line_addr, line, dirty);
     if (victim.valid && victim.dirty)
@@ -310,8 +312,7 @@ MemorySystem::installL2(unsigned pair, Addr line_addr,
 }
 
 void
-MemorySystem::readLineFromL2(unsigned core, Addr line_addr,
-                             std::vector<uint64_t> &out)
+MemorySystem::readLineFromL2(unsigned core, Addr line_addr, LineData &out)
 {
     const unsigned pair = core / 2;
     Cache &cache = *l2_[pair];
@@ -392,14 +393,16 @@ MemorySystem::writeWord(unsigned core, Addr addr, uint64_t value)
         l1.writeWord(addr, value, l1_way);
 
     // Write-invalidate coherence over the other cores' L1Ds. The
-    // residency filter turns the common no-sharer case into one load
-    // per core instead of a tag search.
+    // residency row turns the common no-sharer case into one load per
+    // core instead of a tag search.
+    const uint32_t *counts =
+        residency_->row(ResidencyTable::bucket(line_addr));
     for (unsigned other = 0; other < l1d_.size(); ++other) {
         if (other == core)
             continue;
-        Cache &other_l1 = *l1d_[other];
-        if (config_.fastPath && !other_l1.mayContain(addr))
+        if (config_.fastPath && counts[other] == 0)
             continue;
+        Cache &other_l1 = *l1d_[other];
         const int other_way = other_l1.findWay(addr);
         if (other_way >= 0)
             other_l1.invalidateWay(addr, other_way);
@@ -525,20 +528,16 @@ MemorySystem::snapshot(SnapshotWriter &writer) const
     for (const auto &array : tlb_)
         array->snapshot(writer);
 
-    // DRAM pages in ascending address order: the map is hash-ordered,
-    // so the keys are collected and sorted first to keep the stream
-    // bytes a pure function of the simulated state.
-    std::vector<Addr> pages;
-    pages.reserve(dramPages_.size());
-    for (const auto &[base, words] : dramPages_) {
-        (void)words;
-        pages.push_back(base);
-    }
-    std::sort(pages.begin(), pages.end());
-    writer.u64(pages.size());
-    for (const Addr base : pages) {
-        writer.u64(base);
-        writer.u64Vector(dramPages_.at(base));
+    // Touched DRAM pages, ascending by address.
+    uint64_t pages = 0;
+    for (const auto &page : dramPages_)
+        pages += page ? 1 : 0;
+    writer.u64(pages);
+    for (size_t index = 0; index < dramPages_.size(); ++index) {
+        if (!dramPages_[index])
+            continue;
+        writer.u64(index * pageBytes);
+        writer.u64Words(dramPages_[index]->data(), pageWords);
     }
 }
 
@@ -570,11 +569,45 @@ MemorySystem::restore(SnapshotReader &reader)
     const uint64_t pages = reader.u64();
     for (uint64_t i = 0; i < pages; ++i) {
         const Addr base = reader.u64();
-        std::vector<uint64_t> &page = dramPages_[base];
-        reader.u64Vector(page);
-        XSER_ASSERT(page.size() == pageWords,
-                    "snapshot DRAM page has wrong word count");
+        XSER_ASSERT(base % pageBytes == 0 &&
+                        base / pageBytes < maxDramPages,
+                    "snapshot DRAM page base out of range");
+        const auto page = static_cast<size_t>(base / pageBytes);
+        if (page >= dramPages_.size())
+            dramPages_.resize(page + 1);
+        XSER_ASSERT(!dramPages_[page], "snapshot DRAM page repeated");
+        dramPages_[page] = std::make_unique_for_overwrite<DramPage>();
+        reader.u64Words(dramPages_[page]->data(), pageWords);
     }
+}
+
+size_t
+MemorySystem::snapshotBytesBound() const
+{
+    // Per word: data, check and stale bytes, twice that when the dense
+    // corruption vectors ride along; per line slot: tag, flags and LRU
+    // stamp; per touched DRAM page: base, length and words; plus slack
+    // for the fixed-size fields.
+    auto array_bytes = [](const SramArray &array) {
+        return array.words() * (array.corruptWords() > 0 ? 20 : 10) + 256;
+    };
+    size_t bytes = 4096;
+    auto add_cache = [&](const Cache &cache) {
+        bytes += cache.geometry().numLines() * 17 +
+                 array_bytes(cache.dataArray());
+    };
+    for (const auto &cache : l1d_)
+        add_cache(*cache);
+    for (const auto &cache : l2_)
+        add_cache(*cache);
+    add_cache(*l3_);
+    for (const auto &array : l1i_)
+        bytes += array_bytes(array->array());
+    for (const auto &array : tlb_)
+        bytes += array_bytes(array->array());
+    for (const auto &page : dramPages_)
+        bytes += page ? 16 + pageBytes : 0;
+    return bytes;
 }
 
 uint64_t

@@ -19,10 +19,10 @@
 #ifndef XSER_MEM_MEMORY_SYSTEM_HH
 #define XSER_MEM_MEMORY_SYSTEM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -116,10 +116,9 @@ class MemorySystem
 
     /**
      * Serialize the full checkpointable hierarchy state: every cache
-     * and refetchable array, the DRAM backing store (pages in sorted
-     * address order, so the bytes are independent of hash order), the
-     * heap bump pointer, the access/cycle accumulators, the scrub
-     * cursors, and the delivery counters.
+     * and refetchable array, the DRAM backing store (touched pages in
+     * ascending address order), the heap bump pointer, the access/cycle
+     * accumulators, the scrub cursors, and the delivery counters.
      */
     void snapshot(SnapshotWriter &writer) const;
 
@@ -128,6 +127,12 @@ class MemorySystem
      * configured hierarchy (validated, fatal on mismatch).
      */
     void restore(SnapshotReader &reader);
+
+    /**
+     * Upper bound on the bytes snapshot() appends, so a checkpoint
+     * writer can reserve its stream once (SnapshotWriter::reserve).
+     */
+    size_t snapshotBytesBound() const;
 
     /** All SRAM arrays the beam can strike. */
     std::vector<BeamTarget> beamTargets();
@@ -176,47 +181,53 @@ class MemorySystem
 
   private:
     /** Fetch a full line into `out` from the L2/L3/DRAM path. */
-    void readLineFromL2(unsigned core, Addr line_addr,
-                        std::vector<uint64_t> &out);
-    void readLineFromL3(Addr line_addr, std::vector<uint64_t> &out);
+    void readLineFromL2(unsigned core, Addr line_addr, LineData &out);
+    void readLineFromL3(Addr line_addr, LineData &out);
 
     /** Install a line into L2/L3, spilling the victim downstream. */
-    void installL2(unsigned pair, Addr line_addr,
-                   const std::vector<uint64_t> &line, bool dirty);
-    void installL3(Addr line_addr, const std::vector<uint64_t> &line,
+    void installL2(unsigned pair, Addr line_addr, const LineData &line,
                    bool dirty);
+    void installL3(Addr line_addr, const LineData &line, bool dirty);
 
     /** Write a full line into L3 (allocating if needed). */
-    void writeLineToL3(Addr line_addr, const std::vector<uint64_t> &line);
+    void writeLineToL3(Addr line_addr, const LineData &line);
 
     /** Snoop other L2s before taking write ownership / reading L3. */
     void snoopOtherL2s(unsigned writing_pair, Addr line_addr);
 
     /** DRAM access helpers (backing store is authoritative + ECC'd). */
-    void dramReadLine(Addr line_addr, std::vector<uint64_t> &out);
-    void dramWriteLine(Addr line_addr, const std::vector<uint64_t> &line);
-    uint64_t *dramWordSlot(Addr addr);
+    void dramReadLine(Addr line_addr, LineData &out);
+    void dramWriteLine(Addr line_addr, const LineData &line);
+
+    /** First word of a line in its DRAM page (touching the page). */
+    uint64_t *dramLine(Addr line_addr);
 
     MemorySystemConfig config_;
     EdacReporter *reporter_;
     const Tick *now_ = nullptr;
     trace::TraceSink *traceSink_ = nullptr;
 
+    /**
+     * Residency counts of every L1D (columns 0..numCores-1) and L2
+     * (columns numCores..), one row per hash bucket: the
+     * write-invalidate loop and the L2 snoop read one row.
+     */
+    std::unique_ptr<ResidencyTable> residency_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Cache>> l2_;
     std::unique_ptr<Cache> l3_;
     std::vector<std::unique_ptr<RefetchableArray>> l1i_;
     std::vector<std::unique_ptr<RefetchableArray>> tlb_;
 
+    /** One 4 KiB DRAM page of 512 words. */
+    using DramPage = std::array<uint64_t, 512>;
+
     /**
-     * DRAM: 4 KiB pages of 512 words, allocated on first touch.
-     *
-     * Point lookups only -- this map must never be iterated (hash
-     * order would be a hidden input to any walk over it). xser-lint's
-     * unordered-iter rule guards the loops; the declaration itself is
-     * justified in tools/xser-lint-allow.txt.
+     * DRAM: a page table indexed by page number (address / 4 KiB);
+     * a page is allocated, zeroed, on first touch. Walking it in index
+     * order visits touched pages in ascending address order.
      */
-    std::unordered_map<Addr, std::vector<uint64_t>> dramPages_;
+    std::vector<std::unique_ptr<DramPage>> dramPages_;
 
     Addr heapNext_ = 0x10000;  ///< bump pointer (low pages reserved)
     uint64_t cycles_ = 0;
@@ -224,7 +235,7 @@ class MemorySystem
     DeliveryCounters delivery_;
     size_t l2ScrubCursor_ = 0;
     size_t l3ScrubCursor_ = 0;
-    std::vector<uint64_t> lineScratch_;
+    LineData lineScratch_{};
 };
 
 } // namespace xser::mem

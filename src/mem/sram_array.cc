@@ -46,57 +46,62 @@ SramArray::SramArray(std::string name, size_t words, Protection protection)
 {
     if (words == 0)
         fatal(msg("SRAM array '", name_, "' must have at least one word"));
-    data_.assign(words, 0);
-    check_.assign(words, 0);
-    shadow_.assign(words, 0);
-    // Zero truth still needs consistent check bits.
-    if (protection_ == Protection::Secded) {
-        const uint8_t zero_check = ecc::SecdedCodec::encode(0);
-        std::fill(check_.begin(), check_.end(), zero_check);
-    }
-    shadowCheck_ = check_;
-    corrupt_.assign(words, 0);
-    checkStale_.assign(words, 0);
+    data_.resize(words);
+    check_.resize(words);
+    state_.resize(words);
+    reset();
 }
 
 void
 SramArray::materializeCheck(size_t index)
 {
-    if (!checkStale_[index])
+    if (state_[index] != wordStale)
         return;
-    checkStale_[index] = 0;
+    state_[index] = wordClean;
+    if (!staleTruthCheck_.empty())
+        staleTruthCheck_.erase(index);
     // Stale implies no flip or repair since the last write (both
     // materialize first), so the stored word still equals the truth and
-    // one encode serves for both the stored and the shadow check bits.
+    // one encode serves for both the stored and the true check bits.
     uint8_t bits = 0;
     switch (protection_) {
       case Protection::None:
         break;
       case Protection::Parity:
-        bits = ecc::ParityCodec::encode(shadow_[index]);
+        bits = ecc::ParityCodec::encode(data_[index]);
         break;
       case Protection::Secded:
-        bits = ecc::SecdedCodec::encode(shadow_[index]);
+        bits = ecc::SecdedCodec::encode(data_[index]);
         break;
     }
     check_[index] = bits;
-    shadowCheck_[index] = bits;
 }
 
 void
-SramArray::refreshCorrupt(size_t index)
+SramArray::settle(size_t index, const Truth &truth)
 {
-    const uint8_t now_corrupt = (data_[index] != shadow_[index] ||
-                                 check_[index] != shadowCheck_[index])
-                                    ? 1
-                                    : 0;
-    if (now_corrupt != corrupt_[index]) {
-        corrupt_[index] = now_corrupt;
-        if (now_corrupt)
-            ++corruptCount_;
-        else
-            --corruptCount_;
+    const bool now_corrupt =
+        data_[index] != truth.data || check_[index] != truth.check;
+    if (now_corrupt == (state_[index] == wordCorrupt))
+        return;
+    if (now_corrupt) {
+        truth_.emplace(index, truth);
+        state_[index] = wordCorrupt;
+    } else {
+        truth_.erase(index);
+        state_[index] = wordClean;
     }
+}
+
+void
+SramArray::dropTruth(size_t index)
+{
+    ++counters_.overwrittenFlips;
+    const auto entry = truth_.find(index);
+    if (entry->second.check != check_[index])
+        staleTruthCheck_[index] = entry->second.check;
+    truth_.erase(entry);
+    state_[index] = wordClean;
 }
 
 void
@@ -116,7 +121,7 @@ SramArray::readChecked(size_t index)
         ReadOutcome outcome;
         outcome.value = data_[index];
         outcome.status = ecc::CheckStatus::Clean;
-        outcome.silentCorruption = data_[index] != shadow_[index];
+        outcome.silentCorruption = data_[index] != truthOf(index).data;
         if (outcome.silentCorruption) {
             ++counters_.silentEscapes;
             if (traceSink_)
@@ -148,7 +153,7 @@ SramArray::readParity(size_t index)
     }
     // Parity passed; an even number of flips (data+check combined) slips
     // through undetected.
-    if (data_[index] != shadow_[index]) {
+    if (data_[index] != truthOf(index).data) {
         outcome.silentCorruption = true;
         ++counters_.silentEscapes;
         if (traceSink_)
@@ -161,6 +166,7 @@ ReadOutcome
 SramArray::readSecded(size_t index)
 {
     materializeCheck(index);
+    const Truth truth = truthOf(index);
     ReadOutcome outcome;
     const auto result = ecc::SecdedCodec::decode(data_[index],
                                                  check_[index]);
@@ -170,7 +176,7 @@ SramArray::readSecded(size_t index)
 
     switch (result.status) {
       case ecc::CheckStatus::Clean:
-        if (result.data != shadow_[index]) {
+        if (result.data != truth.data) {
             // >= 4 flips aliased to a valid codeword: fully silent.
             outcome.silentCorruption = true;
             ++counters_.silentEscapes;
@@ -197,9 +203,9 @@ SramArray::readSecded(size_t index)
         // Scrub the correction back into the array, as hardware does.
         data_[index] = result.data;
         check_[index] = result.check;
-        refreshCorrupt(index);  // exact repair cleans; miscorrect stays
+        settle(index, truth);  // exact repair cleans; miscorrect stays
         ++counters_.corrected;
-        if (result.data != shadow_[index]) {
+        if (result.data != truth.data) {
             // The decoder repaired the wrong bit: a >= 3-flip alias. The
             // hardware report stays "corrected"; ground truth says the
             // word is now corrupt (Section 6.2 case 1).
@@ -234,27 +240,15 @@ SramArray::peek(size_t index) const
 uint64_t
 SramArray::truth(size_t index) const
 {
-    XSER_ASSERT(index < shadow_.size(), "SRAM truth out of range");
-    return shadow_[index];
+    XSER_ASSERT(index < data_.size(), "SRAM truth out of range");
+    return truthOf(index).data;
 }
 
 bool
 SramArray::isCorrupted(size_t index) const
 {
     XSER_ASSERT(index < data_.size(), "SRAM index out of range");
-    return corrupt_[index] != 0;
-}
-
-bool
-SramArray::anyCorruptInRange(size_t base, size_t count) const
-{
-    XSER_ASSERT(base + count <= data_.size(),
-                "SRAM corruption scan out of range");
-    for (size_t i = 0; i < count; ++i) {
-        if (corrupt_[base + i])
-            return true;
-    }
-    return false;
+    return state_[index] == wordCorrupt;
 }
 
 void
@@ -263,11 +257,12 @@ SramArray::flipBit(size_t index, unsigned stored_bit)
     XSER_ASSERT(index < data_.size(), "SRAM flip out of range");
     XSER_ASSERT(stored_bit < bitsPerWord_, "stored bit out of range");
     materializeCheck(index);
+    const Truth truth = truthOf(index);
     if (stored_bit < 64)
         data_[index] ^= 1ULL << stored_bit;
     else
         check_[index] ^= static_cast<uint8_t>(1u << (stored_bit - 64));
-    refreshCorrupt(index);
+    settle(index, truth);
     ++counters_.bitFlipsInjected;
 }
 
@@ -275,27 +270,36 @@ void
 SramArray::reset()
 {
     std::fill(data_.begin(), data_.end(), 0);
-    std::fill(shadow_.begin(), shadow_.end(), 0);
+    // Zero truth still needs consistent check bits.
     uint8_t zero_check = 0;
     if (protection_ == Protection::Secded)
         zero_check = ecc::SecdedCodec::encode(0);
     std::fill(check_.begin(), check_.end(), zero_check);
-    std::fill(shadowCheck_.begin(), shadowCheck_.end(), zero_check);
-    std::fill(corrupt_.begin(), corrupt_.end(), 0);
-    std::fill(checkStale_.begin(), checkStale_.end(), 0);
-    corruptCount_ = 0;
+    std::fill(state_.begin(), state_.end(), wordClean);
+    truth_.clear();
+    staleTruthCheck_.clear();
     counters_ = SramCounters{};
 }
 
 void
 SramArray::snapshot(SnapshotWriter &writer) const
 {
-    writer.u64(data_.size());
+    const size_t words = data_.size();
+    writer.u64(words);
     writer.u8(static_cast<uint8_t>(protection_));
-    writer.u64(corruptCount_);
+    writer.u64(truth_.size());
     writer.u64Vector(data_);
     writer.byteVector(check_);
-    writer.byteVector(checkStale_);
+    // The stream carries the dense stale-flag vector. Without
+    // corruption the state bytes are exactly those flags (0 or 1).
+    if (truth_.empty()) {
+        writer.byteVector(state_);
+    } else {
+        std::vector<uint8_t> stale(words);
+        for (size_t i = 0; i < words; ++i)
+            stale[i] = state_[i] == wordStale ? 1 : 0;
+        writer.byteVector(stale);
+    }
     writer.u64(counters_.bitFlipsInjected);
     writer.u64(counters_.upsetEventsInjected);
     writer.u64(counters_.corrected);
@@ -304,10 +308,22 @@ SramArray::snapshot(SnapshotWriter &writer) const
     writer.u64(counters_.miscorrections);
     writer.u64(counters_.silentEscapes);
     writer.u64(counters_.overwrittenFlips);
-    if (corruptCount_ > 0) {
-        writer.u64Vector(shadow_);
-        writer.byteVector(shadowCheck_);
-        writer.byteVector(corrupt_);
+    if (!truth_.empty()) {
+        // Dense truth, truth check bits and corruption flags, as the
+        // stream format has always carried them.
+        std::vector<uint64_t> truth_data = data_;
+        std::vector<uint8_t> truth_check = check_;
+        std::vector<uint8_t> corrupt(words, 0);
+        for (const auto &[index, truth] : truth_) {
+            truth_data[index] = truth.data;
+            truth_check[index] = truth.check;
+            corrupt[index] = 1;
+        }
+        for (const auto &[index, check] : staleTruthCheck_)
+            truth_check[index] = check;
+        writer.u64Vector(truth_data);
+        writer.byteVector(truth_check);
+        writer.byteVector(corrupt);
     }
 }
 
@@ -318,10 +334,15 @@ SramArray::restore(SnapshotReader &reader)
     const auto protection = static_cast<Protection>(reader.u8());
     XSER_ASSERT(words == data_.size() && protection == protection_,
                 msg("snapshot shape mismatch restoring ", name_));
-    corruptCount_ = reader.u64();
+    const uint64_t corrupt_words = reader.u64();
     reader.u64Vector(data_);
     reader.byteVector(check_);
-    reader.byteVector(checkStale_);
+    reader.byteVector(state_);
+    XSER_ASSERT(data_.size() == words && check_.size() == words &&
+                    state_.size() == words,
+                msg("snapshot vector length mismatch restoring ", name_));
+    for (uint8_t &state : state_)
+        state = state != 0 ? wordStale : wordClean;
     counters_.bitFlipsInjected = reader.u64();
     counters_.upsetEventsInjected = reader.u64();
     counters_.corrected = reader.u64();
@@ -330,23 +351,35 @@ SramArray::restore(SnapshotReader &reader)
     counters_.miscorrections = reader.u64();
     counters_.silentEscapes = reader.u64();
     counters_.overwrittenFlips = reader.u64();
-    if (corruptCount_ > 0) {
-        reader.u64Vector(shadow_);
-        reader.byteVector(shadowCheck_);
-        reader.byteVector(corrupt_);
-    } else {
-        // Clean array: the corruption invariant (corrupt_[i] == 0 iff
-        // stored state matches truth) makes the shadow redundant.
-        shadow_ = data_;
-        shadowCheck_ = check_;
-        std::fill(corrupt_.begin(), corrupt_.end(), 0);
-    }
-    XSER_ASSERT(data_.size() == words && check_.size() == words &&
-                    checkStale_.size() == words &&
-                    shadow_.size() == words &&
-                    shadowCheck_.size() == words &&
-                    corrupt_.size() == words,
+    truth_.clear();
+    staleTruthCheck_.clear();
+    if (corrupt_words == 0)
+        return;
+    // Only the flagged words' truth is kept; every other word is its
+    // own truth by the corruption invariant (up to the check bits of
+    // stale words, see staleTruthCheck_).
+    std::vector<uint64_t> truth_data;
+    std::vector<uint8_t> truth_check;
+    std::vector<uint8_t> corrupt;
+    reader.u64Vector(truth_data);
+    reader.byteVector(truth_check);
+    reader.byteVector(corrupt);
+    XSER_ASSERT(truth_data.size() == words && truth_check.size() == words &&
+                    corrupt.size() == words,
                 msg("snapshot vector length mismatch restoring ", name_));
+    for (size_t i = 0; i < words; ++i) {
+        if (corrupt[i] != 0) {
+            truth_.emplace_hint(truth_.end(), i,
+                                Truth{truth_data[i], truth_check[i]});
+            state_[i] = wordCorrupt;
+        } else if (truth_check[i] != check_[i]) {
+            staleTruthCheck_.emplace_hint(staleTruthCheck_.end(), i,
+                                          truth_check[i]);
+        }
+    }
+    XSER_ASSERT(truth_.size() == corrupt_words,
+                msg("snapshot corruption count mismatch restoring ",
+                    name_));
 }
 
 } // namespace xser::mem

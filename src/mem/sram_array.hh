@@ -9,16 +9,20 @@
  * scrubber), which is why observed upset rates sit below raw upset rates
  * exactly as the paper discusses in Section 3.5.
  *
- * A shadow copy of the last-written truth lets the simulator ground-truth
- * silent corruption (parity-even escapes, SECDED miscorrections) that real
- * hardware cannot see -- used only for accounting, never fed back into
- * simulated behaviour.
+ * The ground truth of every corrupted word (what software last wrote,
+ * and its check bits) lets the simulator ground-truth silent corruption
+ * (parity-even escapes, SECDED miscorrections) that real hardware cannot
+ * see -- used only for accounting, never fed back into simulated
+ * behaviour. Corruption is rare, so the truth lives in a sparse fault
+ * map over the stored words: an uncorrupted word *is* its own truth.
  */
 
 #ifndef XSER_MEM_SRAM_ARRAY_HH
 #define XSER_MEM_SRAM_ARRAY_HH
 
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -92,28 +96,43 @@ class SramArray
     }
 
     /**
-     * Write a word: stores data, refreshes the shadow truth, and marks
-     * the check bits for lazy regeneration (see materializeCheck).
-     * Pending flips in the word are silently destroyed (counted as
+     * Write a word: stores data (which becomes the truth) and marks the
+     * check bits for lazy regeneration (see materializeCheck). Pending
+     * flips in the word are silently destroyed (counted as
      * overwritten), mirroring real hardware.
      */
     void
     write(size_t index, uint64_t value)
     {
         XSER_ASSERT(index < data_.size(), "SRAM write out of range");
-        if (corrupt_[index]) {
-            ++counters_.overwrittenFlips;
-            corrupt_[index] = 0;
-            --corruptCount_;
-        }
+        if (state_[index] == wordCorrupt)
+            dropTruth(index);
         data_[index] = value;
-        shadow_[index] = value;
         // Check bits are derived lazily: a freshly written word is
         // clean by construction, and encode() is deterministic, so
         // deferring it to the first flip or checked read that actually
         // consumes the check bits yields the same stored values --
         // just not paid per write.
-        checkStale_[index] = 1;
+        state_[index] = wordStale;
+    }
+
+    /**
+     * Write `count` consecutive words starting at `base`: observably
+     * identical to count write() calls in ascending order, as one bulk
+     * copy when no word in the range is corrupt.
+     */
+    void
+    writeRange(size_t base, const uint64_t *values, size_t count)
+    {
+        XSER_ASSERT(base + count <= data_.size(),
+                    "SRAM range write out of range");
+        if (anyCorruptInRange(base, count)) {
+            for (size_t i = 0; i < count; ++i)
+                write(base + i, values[i]);
+            return;
+        }
+        std::memcpy(data_.data() + base, values, count * sizeof(uint64_t));
+        std::memset(state_.data() + base, wordStale, count);
     }
 
     /**
@@ -125,7 +144,7 @@ class SramArray
     ReadOutcome
     read(size_t index)
     {
-        if (fastPath_ && !corrupt_[index]) {
+        if (fastPath_ && state_[index] != wordCorrupt) {
             // Clean word: every codec verdicts Clean on a word matching
             // its truth, delivers the stored data unchanged, and updates
             // no counter and no trace -- short-circuit all of it.
@@ -134,20 +153,50 @@ class SramArray
         return readChecked(index);
     }
 
+    /**
+     * Clean bulk read of [base, base + count) into `out`. With the fast
+     * path on and no word of the range corrupt, copies the stored words
+     * and returns true -- observably identical to count clean read()
+     * calls. Otherwise returns false without touching anything, and
+     * the caller reads word by word.
+     */
+    bool
+    readRange(size_t base, size_t count, uint64_t *out) const
+    {
+        XSER_ASSERT(base + count <= data_.size(),
+                    "SRAM range read out of range");
+        if (!fastPath_ || anyCorruptInRange(base, count))
+            return false;
+        std::memcpy(out, data_.data() + base, count * sizeof(uint64_t));
+        return true;
+    }
+
     /** Raw stored bits without any checking (debug/test aid). */
     uint64_t peek(size_t index) const;
 
-    /** Shadow truth for a word (what software last wrote). */
+    /** Ground truth for a word (what software last wrote). */
     uint64_t truth(size_t index) const;
 
     /** True when the stored word (incl. check bits) deviates from truth. */
     bool isCorrupted(size_t index) const;
 
     /** Number of words currently deviating from truth. */
-    size_t corruptWords() const { return corruptCount_; }
+    size_t corruptWords() const { return truth_.size(); }
 
     /** True when any word in [base, base + count) deviates from truth. */
-    bool anyCorruptInRange(size_t base, size_t count) const;
+    bool
+    anyCorruptInRange(size_t base, size_t count) const
+    {
+        if (truth_.empty())
+            return false;
+        XSER_ASSERT(base + count <= data_.size(),
+                    "SRAM corruption scan out of range");
+        for (size_t i = 0; i < count; ++i) {
+            if (state_[base + i] == wordCorrupt)
+                return true;
+        }
+        return false;
+    }
 
     /**
      * Enable/disable the clean-read fast path. With it on, a read of an
@@ -181,9 +230,10 @@ class SramArray
     /**
      * Serialize the full checkpointable state: stored bits, check
      * bits, laziness flags, counters -- and, only when corruption is
-     * present, the shadow truth (a clean array's shadow equals its
-     * stored state by the corruption invariant, so it compresses
-     * away). Wiring (trace sink, time source, fast-path flag) is
+     * present, the dense truth and corruption-flag vectors, rebuilt
+     * from the fault map (a clean array's truth equals its stored
+     * state by the corruption invariant, so it compresses away).
+     * Wiring (trace sink, time source, fast-path flag) is
      * configuration, not state, and is not serialized.
      */
     void snapshot(SnapshotWriter &writer) const;
@@ -229,43 +279,71 @@ class SramArray
     void emit(trace::EventType type, size_t index, uint32_t bit,
               uint64_t aux);
 
-    /**
-     * Re-derive corrupt_[index] after data_/check_ changed underneath
-     * the shadow (a beam flip or an in-place correction), keeping
-     * corruptCount_ in step. O(1): the check bits of the truth are
-     * cached in shadowCheck_, so no re-encode is needed.
-     */
-    void refreshCorrupt(size_t index);
+    /** Ground truth of a corrupted word: data and its check bits. */
+    struct Truth {
+        uint64_t data;
+        uint8_t check;
+    };
+
+    /** Truth of any word: the fault map entry, or the word itself. */
+    Truth
+    truthOf(size_t index) const
+    {
+        if (state_[index] == wordCorrupt)
+            return truth_.at(index);
+        return {data_[index], check_[index]};
+    }
 
     /**
-     * Derive check_[index]/shadowCheck_[index] for a word whose last
-     * write deferred the encode. Every consumer of the check bits
-     * (checked reads, flips) calls this first; while a word is stale it
-     * is clean by construction, so laziness is value-preserving.
+     * Re-derive the corruption state of word `index` after data_/check_
+     * changed underneath its truth (a beam flip or an in-place
+     * correction), keeping the fault map in step.
+     */
+    void settle(size_t index, const Truth &truth);
+
+    /** Forget the truth of a corrupt word about to be overwritten. */
+    void dropTruth(size_t index);
+
+    /**
+     * Derive check_[index] for a word whose last write deferred the
+     * encode. Every consumer of the check bits (checked reads, flips)
+     * calls this first; while a word is stale it is clean by
+     * construction, so laziness is value-preserving.
      */
     void materializeCheck(size_t index);
+
+    /** Per-word state byte: exactly one of these values. */
+    static constexpr uint8_t wordClean = 0;
+    /**
+     * Written, check bits not yet derived: check_ still holds the
+     * previous value's bits. Cleared by materializeCheck() and reset().
+     */
+    static constexpr uint8_t wordStale = 1;
+    /**
+     * Stored data or check bits deviate from the truth, which is held
+     * in truth_. Exact, the invariant behind every fast path:
+     * maintained on write, flip, repair, and reset; never approximate
+     * (a flip pair that cancels clears it). A corrupt word is never
+     * stale (flips and repairs materialize first).
+     */
+    static constexpr uint8_t wordCorrupt = 2;
 
     std::string name_;
     Protection protection_;
     unsigned bitsPerWord_;
     std::vector<uint64_t> data_;    ///< stored (possibly corrupt) data
     std::vector<uint8_t> check_;    ///< stored check bits
-    std::vector<uint64_t> shadow_;  ///< ground-truth data
-    std::vector<uint8_t> shadowCheck_;  ///< check bits of the truth
+    std::vector<uint8_t> state_;    ///< wordClean/wordStale/wordCorrupt
+    /** Sparse fault map: the truth of exactly the corrupt words. */
+    std::map<size_t, Truth> truth_;
     /**
-     * Exact per-word corruption flags, the invariant behind every fast
-     * path: corrupt_[i] != 0 iff data_[i] != shadow_[i] or check_[i] !=
-     * shadowCheck_[i]. Maintained on write, flip, repair, and reset;
-     * never approximate (a flip pair that cancels clears the flag).
+     * Truth check bits of stale words that overwrote a corrupt word
+     * whose stored check bits were flipped: the write leaves both the
+     * stored and the true check bits as they were, so the two differ
+     * until materializeCheck(). Never consulted by the simulation;
+     * kept so the snapshot's truth-check vector stays exact.
      */
-    std::vector<uint8_t> corrupt_;
-    /**
-     * 1 = the word was written but its check bits not yet derived
-     * (check_/shadowCheck_ still hold the previous value's bits, equal
-     * to each other). Cleared by materializeCheck() and reset().
-     */
-    std::vector<uint8_t> checkStale_;
-    size_t corruptCount_ = 0;
+    std::map<size_t, uint8_t> staleTruthCheck_;
     bool fastPath_ = true;
     SramCounters counters_;
     trace::TraceSink *traceSink_ = nullptr;

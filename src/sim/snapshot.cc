@@ -14,18 +14,16 @@
 namespace xser {
 
 void
-SnapshotWriter::u64Vector(const std::vector<uint64_t> &words)
+SnapshotWriter::u64Words(const uint64_t *words, size_t count)
 {
-    u64(words.size());
+    u64(count);
     if constexpr (std::endian::native == std::endian::little) {
-        const size_t bytes = words.size() * 8;
-        const size_t at = out_.size();
-        out_.resize(at + bytes);
-        if (bytes > 0)
-            std::memcpy(out_.data() + at, words.data(), bytes);
+        // Append straight from the words: no zero-filled resize first.
+        const auto *bytes = reinterpret_cast<const uint8_t *>(words);
+        out_.insert(out_.end(), bytes, bytes + count * 8);
     } else {
-        for (const uint64_t word : words)
-            u64(word);
+        for (size_t i = 0; i < count; ++i)
+            u64(words[i]);
     }
 }
 
@@ -39,14 +37,30 @@ SnapshotReader::u64Vector(std::vector<uint64_t> &out)
         fatal(msg("snapshot stream underrun reading u64 vector: ", count,
                   " words, have ", remaining(), " bytes"));
     out.resize(static_cast<size_t>(count));
+    wordsBody(out.data(), static_cast<size_t>(count));
+}
+
+void
+SnapshotReader::u64Words(uint64_t *out, size_t count)
+{
+    const uint64_t length = u64();
+    if (length != count)
+        fatal(msg("snapshot word run has ", length, " words, expected ",
+                  count));
+    need(static_cast<uint64_t>(count) * 8, "u64 words");
+    wordsBody(out, count);
+}
+
+void
+SnapshotReader::wordsBody(uint64_t *out, size_t count)
+{
     if constexpr (std::endian::native == std::endian::little) {
         if (count > 0)
-            std::memcpy(out.data(), data_ + cursor_,
-                        static_cast<size_t>(count) * 8);
-        cursor_ += static_cast<size_t>(count) * 8;
+            std::memcpy(out, data_ + cursor_, count * 8);
+        cursor_ += count * 8;
     } else {
-        for (uint64_t &word : out)
-            word = u64();
+        for (size_t i = 0; i < count; ++i)
+            out[i] = u64();
     }
 }
 

@@ -69,8 +69,15 @@ class SnapshotWriter
         out_.insert(out_.end(), text.begin(), text.end());
     }
 
+    /** Length-prefixed run of `count` 64-bit words. */
+    void u64Words(const uint64_t *words, size_t count);
+
     /** Length-prefixed vector of 64-bit words. */
-    void u64Vector(const std::vector<uint64_t> &words);
+    void
+    u64Vector(const std::vector<uint64_t> &words)
+    {
+        u64Words(words.data(), words.size());
+    }
 
     /** Length-prefixed vector of bytes. */
     void
@@ -81,6 +88,13 @@ class SnapshotWriter
     }
 
     const std::vector<uint8_t> &data() const { return out_; }
+
+    /**
+     * Make room for `bytes` more without reallocating. Growing a
+     * multi-megabyte stream by doubling copies it and touches about
+     * twice its size in fresh pages, so large writers reserve first.
+     */
+    void reserve(size_t bytes) { out_.reserve(out_.size() + bytes); }
 
     /** Move the accumulated bytes out (writer becomes empty). */
     std::vector<uint8_t>
@@ -154,6 +168,12 @@ class SnapshotReader
     /** Read a length-prefixed u64 vector into `out` (replacing it). */
     void u64Vector(std::vector<uint64_t> &out);
 
+    /**
+     * Read a length-prefixed run of exactly `count` 64-bit words into
+     * `out`; a different length prefix is a stream error.
+     */
+    void u64Words(uint64_t *out, size_t count);
+
     /** Read a length-prefixed byte vector into `out` (replacing it). */
     void
     byteVector(std::vector<uint8_t> &out)
@@ -168,6 +188,9 @@ class SnapshotReader
     bool atEnd() const { return cursor_ == size_; }
 
   private:
+    /** Copy `count` words whose bounds were already checked. */
+    void wordsBody(uint64_t *out, size_t count);
+
     /** Fail loudly when fewer than `count` bytes remain. */
     void
     need(uint64_t count, const char *what) const

@@ -144,6 +144,29 @@ TEST(CheckpointEnvelope, NoCorruptedByteSlipsThrough)
     }
 }
 
+TEST(CheckpointEnvelope, ChecksumRejectsEverySingleBitFlip)
+{
+    // 75 bytes: two full 32-byte blocks, one tail word and three tail
+    // bytes, so every path of the checksum sees a flip.
+    std::vector<uint8_t> payload(75);
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<uint8_t>(i * 37 + 11);
+    const std::vector<uint8_t> blob = sealCheckpoint(2, 0x77ULL, payload);
+    ASSERT_TRUE(openCheckpoint(blob).ok);
+    constexpr size_t header = 40;
+    // Every bit of the stored checksum and of the payload.
+    for (size_t byte = header - 8; byte < blob.size(); ++byte) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::vector<uint8_t> flipped = blob;
+            flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+            const CheckpointView view = openCheckpoint(flipped);
+            EXPECT_FALSE(view.ok) << "bit " << bit << " of byte " << byte;
+            EXPECT_NE(view.error.find("checksum"), std::string::npos)
+                << view.error;
+        }
+    }
+}
+
 TEST(CheckpointEnvelope, RejectsTrailingGarbage)
 {
     std::vector<uint8_t> blob = sealCheckpoint(0, 1, {1, 2, 3});

@@ -12,9 +12,15 @@
 #include "mem/memory_system.hh"
 #include "mem/scrubber.hh"
 #include "mem/sram_array.hh"
+#include "ecc/parity.hh"
+#include "ecc/secded.hh"
 #include "mem/tlb.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
 
+#include <algorithm>
+#include <array>
+#include <tuple>
 #include <vector>
 
 namespace xser::mem {
@@ -135,6 +141,352 @@ TEST(SramArray, ResetClearsState)
     EXPECT_EQ(array.counters().bitFlipsInjected, 0u);
 }
 
+/**
+ * Reference model of SramArray with one dense array per concept --
+ * stored data, truth, stored check bits, truth check bits, corruption
+ * flags, and stale-check flags -- and the same snapshot stream. The
+ * randomized test below drives it in lockstep with SramArray, so the
+ * array's compact layout is checked against a model that keeps every
+ * word's state explicitly.
+ */
+class DenseSramModel
+{
+  public:
+    DenseSramModel(size_t words, Protection protection)
+        : protection_(protection), data_(words, 0), shadow_(words, 0),
+          check_(words, zeroCheck()), shadowCheck_(words, zeroCheck()),
+          corrupt_(words, 0), stale_(words, 0)
+    {
+    }
+
+    void setFastPath(bool enabled) { fastPath_ = enabled; }
+    const SramCounters &counters() const { return counters_; }
+
+    size_t
+    corruptWords() const
+    {
+        size_t count = 0;
+        for (const uint8_t flag : corrupt_)
+            count += flag;
+        return count;
+    }
+
+    bool isCorrupted(size_t index) const { return corrupt_[index] != 0; }
+    uint64_t peek(size_t index) const { return data_[index]; }
+    uint64_t truth(size_t index) const { return shadow_[index]; }
+
+    void
+    write(size_t index, uint64_t value)
+    {
+        if (corrupt_[index]) {
+            ++counters_.overwrittenFlips;
+            corrupt_[index] = 0;
+        }
+        data_[index] = value;
+        shadow_[index] = value;
+        stale_[index] = 1;
+    }
+
+    void
+    flipBit(size_t index, unsigned stored_bit)
+    {
+        materialize(index);
+        if (stored_bit < 64)
+            data_[index] ^= 1ULL << stored_bit;
+        else
+            check_[index] ^= static_cast<uint8_t>(1u << (stored_bit - 64));
+        refresh(index);
+        ++counters_.bitFlipsInjected;
+    }
+
+    void noteUpsetEvent() { ++counters_.upsetEventsInjected; }
+
+    ReadOutcome
+    read(size_t index)
+    {
+        if (fastPath_ && !corrupt_[index])
+            return {data_[index], ecc::CheckStatus::Clean, false};
+        ReadOutcome outcome{data_[index], ecc::CheckStatus::Clean, false};
+        if (protection_ == Protection::None) {
+            outcome.silentCorruption = data_[index] != shadow_[index];
+        } else if (protection_ == Protection::Parity) {
+            materialize(index);
+            outcome.status =
+                ecc::ParityCodec::check(data_[index], check_[index]);
+            if (outcome.status == ecc::CheckStatus::ParityError) {
+                ++counters_.parityErrors;
+                return outcome;
+            }
+            outcome.silentCorruption = data_[index] != shadow_[index];
+        } else {
+            materialize(index);
+            const auto result =
+                ecc::SecdedCodec::decode(data_[index], check_[index]);
+            outcome.value = result.data;
+            outcome.status = result.status;
+            if (result.status == ecc::CheckStatus::CorrectedSingle) {
+                data_[index] = result.data;
+                check_[index] = result.check;
+                refresh(index);
+                ++counters_.corrected;
+                if (result.data != shadow_[index]) {
+                    outcome.status = ecc::CheckStatus::Miscorrected;
+                    outcome.silentCorruption = true;
+                    ++counters_.miscorrections;
+                }
+                return outcome;
+            }
+            if (result.status == ecc::CheckStatus::DetectedDouble) {
+                ++counters_.uncorrected;
+                return outcome;
+            }
+            outcome.silentCorruption = result.data != shadow_[index];
+        }
+        if (outcome.silentCorruption)
+            ++counters_.silentEscapes;
+        return outcome;
+    }
+
+    /** The snapshot stream, field for field. */
+    std::vector<uint8_t>
+    snapshot() const
+    {
+        SnapshotWriter writer;
+        writer.u64(data_.size());
+        writer.u8(static_cast<uint8_t>(protection_));
+        writer.u64(corruptWords());
+        writer.u64Vector(data_);
+        writer.byteVector(check_);
+        writer.byteVector(stale_);
+        for (const uint64_t counter :
+             {counters_.bitFlipsInjected, counters_.upsetEventsInjected,
+              counters_.corrected, counters_.uncorrected,
+              counters_.parityErrors, counters_.miscorrections,
+              counters_.silentEscapes, counters_.overwrittenFlips})
+            writer.u64(counter);
+        if (corruptWords() > 0) {
+            writer.u64Vector(shadow_);
+            writer.byteVector(shadowCheck_);
+            writer.byteVector(corrupt_);
+        }
+        return writer.take();
+    }
+
+    /** Restore a stream written by snapshot(). */
+    void
+    restore(const std::vector<uint8_t> &bytes)
+    {
+        SnapshotReader reader(bytes);
+        reader.u64();
+        reader.u8();
+        const uint64_t corrupt_words = reader.u64();
+        reader.u64Vector(data_);
+        reader.byteVector(check_);
+        reader.byteVector(stale_);
+        for (uint64_t *counter :
+             {&counters_.bitFlipsInjected, &counters_.upsetEventsInjected,
+              &counters_.corrected, &counters_.uncorrected,
+              &counters_.parityErrors, &counters_.miscorrections,
+              &counters_.silentEscapes, &counters_.overwrittenFlips})
+            *counter = reader.u64();
+        if (corrupt_words > 0) {
+            reader.u64Vector(shadow_);
+            reader.byteVector(shadowCheck_);
+            reader.byteVector(corrupt_);
+        } else {
+            shadow_ = data_;
+            shadowCheck_ = check_;
+            std::fill(corrupt_.begin(), corrupt_.end(), 0);
+        }
+    }
+
+  private:
+    uint8_t
+    zeroCheck() const
+    {
+        return protection_ == Protection::Secded
+                   ? ecc::SecdedCodec::encode(0)
+                   : 0;
+    }
+
+    void
+    materialize(size_t index)
+    {
+        if (!stale_[index])
+            return;
+        stale_[index] = 0;
+        uint8_t bits = 0;
+        if (protection_ == Protection::Parity)
+            bits = ecc::ParityCodec::encode(shadow_[index]);
+        else if (protection_ == Protection::Secded)
+            bits = ecc::SecdedCodec::encode(shadow_[index]);
+        check_[index] = bits;
+        shadowCheck_[index] = bits;
+    }
+
+    void
+    refresh(size_t index)
+    {
+        corrupt_[index] = data_[index] != shadow_[index] ||
+                                  check_[index] != shadowCheck_[index]
+                              ? 1
+                              : 0;
+    }
+
+    Protection protection_;
+    bool fastPath_ = true;
+    std::vector<uint64_t> data_;
+    std::vector<uint64_t> shadow_;
+    std::vector<uint8_t> check_;
+    std::vector<uint8_t> shadowCheck_;
+    std::vector<uint8_t> corrupt_;
+    std::vector<uint8_t> stale_;
+    SramCounters counters_;
+};
+
+void
+expectCountersEqual(const SramCounters &a, const SramCounters &b)
+{
+    EXPECT_EQ(a.bitFlipsInjected, b.bitFlipsInjected);
+    EXPECT_EQ(a.upsetEventsInjected, b.upsetEventsInjected);
+    EXPECT_EQ(a.corrected, b.corrected);
+    EXPECT_EQ(a.uncorrected, b.uncorrected);
+    EXPECT_EQ(a.parityErrors, b.parityErrors);
+    EXPECT_EQ(a.miscorrections, b.miscorrections);
+    EXPECT_EQ(a.silentEscapes, b.silentEscapes);
+    EXPECT_EQ(a.overwrittenFlips, b.overwrittenFlips);
+}
+
+void
+expectOutcomesEqual(const ReadOutcome &a, const ReadOutcome &b,
+                    int step)
+{
+    EXPECT_EQ(a.value, b.value) << "step " << step;
+    EXPECT_EQ(a.status, b.status) << "step " << step;
+    EXPECT_EQ(a.silentCorruption, b.silentCorruption) << "step " << step;
+}
+
+/** Offset of the first byte where two streams differ, or -1. */
+long
+firstDifference(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
+{
+    const size_t common = std::min(a.size(), b.size());
+    for (size_t i = 0; i < common; ++i) {
+        if (a[i] != b[i])
+            return static_cast<long>(i);
+    }
+    return a.size() == b.size() ? -1 : static_cast<long>(common);
+}
+
+class SramArrayVsDenseModel
+    : public ::testing::TestWithParam<std::tuple<Protection, bool>>
+{
+};
+
+TEST_P(SramArrayVsDenseModel, RandomOpsMatchOutcomesCountersAndBytes)
+{
+    const auto [protection, fast_path] = GetParam();
+    constexpr size_t words = 64;  // eight 8-word lines
+    SramArray array("model", words, protection);
+    array.setFastPath(fast_path);
+    DenseSramModel model(words, protection);
+    model.setFastPath(fast_path);
+    Rng rng(0x5a3d + static_cast<uint64_t>(protection) * 2 +
+            (fast_path ? 1 : 0));
+
+    // Flips concentrate on a few hot words so multi-bit patterns
+    // (cancelling pairs, double errors, miscorrections) all occur.
+    auto pick_word = [&rng]() {
+        return rng.nextBool(0.5) ? static_cast<size_t>(rng.nextBounded(4))
+                                 : static_cast<size_t>(
+                                       rng.nextBounded(words));
+    };
+    for (int step = 0; step < 6000; ++step) {
+        const uint64_t op = rng.nextBounded(100);
+        if (op < 20) {
+            const size_t index = pick_word();
+            const uint64_t value = rng.nextU64();
+            array.write(index, value);
+            model.write(index, value);
+        } else if (op < 30) {
+            const size_t base = 8 * static_cast<size_t>(rng.nextBounded(8));
+            std::array<uint64_t, 8> values;
+            for (uint64_t &value : values)
+                value = rng.nextU64();
+            array.writeRange(base, values.data(), values.size());
+            for (size_t i = 0; i < values.size(); ++i)
+                model.write(base + i, values[i]);
+        } else if (op < 55) {
+            const size_t index = pick_word();
+            expectOutcomesEqual(array.read(index), model.read(index), step);
+        } else if (op < 70) {
+            // Line read: the clean bulk path when it applies, else word
+            // by word, exactly as Cache reads lines out.
+            const size_t base = 8 * static_cast<size_t>(rng.nextBounded(8));
+            std::array<uint64_t, 8> out{};
+            if (array.readRange(base, out.size(), out.data())) {
+                for (size_t i = 0; i < out.size(); ++i) {
+                    const ReadOutcome expected = model.read(base + i);
+                    EXPECT_EQ(expected.status, ecc::CheckStatus::Clean);
+                    EXPECT_FALSE(expected.silentCorruption);
+                    EXPECT_EQ(out[i], expected.value) << "step " << step;
+                }
+            } else {
+                for (size_t i = 0; i < out.size(); ++i) {
+                    expectOutcomesEqual(array.read(base + i),
+                                        model.read(base + i), step);
+                }
+            }
+        } else if (op < 92) {
+            const size_t index = pick_word();
+            const auto bit = static_cast<unsigned>(
+                rng.nextBounded(array.bitsPerWord()));
+            array.flipBit(index, bit);
+            model.flipBit(index, bit);
+            if (rng.nextBool(0.3)) {
+                array.noteUpsetEvent();
+                model.noteUpsetEvent();
+            }
+        } else {
+            // Snapshot both, compare bytes, and continue from a fresh
+            // array restored from the stream.
+            SnapshotWriter writer;
+            array.snapshot(writer);
+            const std::vector<uint8_t> bytes = writer.take();
+            ASSERT_EQ(firstDifference(bytes, model.snapshot()), -1)
+                << "step " << step;
+            SramArray restored("model", words, protection);
+            restored.setFastPath(fast_path);
+            SnapshotReader reader(bytes);
+            restored.restore(reader);
+            EXPECT_TRUE(reader.atEnd());
+            array = std::move(restored);
+            model.restore(bytes);
+        }
+        expectCountersEqual(array.counters(), model.counters());
+        ASSERT_EQ(array.corruptWords(), model.corruptWords())
+            << "step " << step;
+        const size_t probe = static_cast<size_t>(rng.nextBounded(words));
+        EXPECT_EQ(array.isCorrupted(probe), model.isCorrupted(probe));
+        EXPECT_EQ(array.peek(probe), model.peek(probe));
+        EXPECT_EQ(array.truth(probe), model.truth(probe));
+        EXPECT_EQ(array.anyCorruptInRange(0, words),
+                  model.corruptWords() > 0);
+        if (HasFailure())
+            return;
+    }
+    SnapshotWriter writer;
+    array.snapshot(writer);
+    EXPECT_EQ(firstDifference(writer.take(), model.snapshot()), -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesAndPaths, SramArrayVsDenseModel,
+    ::testing::Combine(::testing::Values(Protection::None,
+                                         Protection::Parity,
+                                         Protection::Secded),
+                       ::testing::Bool()));
+
 /* -------------------------- CacheGeometry ------------------------ */
 
 TEST(CacheGeometry, Derivations)
@@ -161,6 +513,15 @@ TEST(CacheGeometry, AddressSlicing)
 
 /* ------------------------------ Cache ---------------------------- */
 
+/** A line with every word set to `value`. */
+LineData
+filledLine(uint64_t value)
+{
+    LineData line;
+    line.fill(value);
+    return line;
+}
+
 CacheConfig
 smallCacheConfig()
 {
@@ -179,7 +540,7 @@ TEST(Cache, AllocateAndReadWord)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    std::vector<uint64_t> line(8);
+    LineData line;
     for (size_t i = 0; i < 8; ++i)
         line[i] = 100 + i;
     cache.allocate(0x1000, line, false);
@@ -191,7 +552,7 @@ TEST(Cache, WriteMarksDirty)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 0), false);
+    cache.allocate(0x1000, filledLine(0), false);
     EXPECT_FALSE(cache.isDirty(0x1000));
     cache.writeWord(0x1008, 77);
     EXPECT_TRUE(cache.isDirty(0x1000));
@@ -206,10 +567,10 @@ TEST(Cache, LruEvictionPrefersOldest)
     const Addr a = 0x0000;
     const Addr b = 0x1000;
     const Addr c = 0x2000;
-    cache.allocate(a, std::vector<uint64_t>(8, 1), false);
-    cache.allocate(b, std::vector<uint64_t>(8, 2), false);
+    cache.allocate(a, filledLine(1), false);
+    cache.allocate(b, filledLine(2), false);
     cache.readWord(a);  // touch a so b is LRU
-    EvictedLine evicted = cache.allocate(c, std::vector<uint64_t>(8, 3),
+    EvictedLine evicted = cache.allocate(c, filledLine(3),
                                          false);
     EXPECT_TRUE(evicted.valid);
     EXPECT_EQ(evicted.address, b);
@@ -221,10 +582,10 @@ TEST(Cache, DirtyEvictionReturnsData)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x0000, std::vector<uint64_t>(8, 5), true);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 6), false);
+    cache.allocate(0x0000, filledLine(5), true);
+    cache.allocate(0x1000, filledLine(6), false);
     EvictedLine evicted =
-        cache.allocate(0x2000, std::vector<uint64_t>(8, 7), false);
+        cache.allocate(0x2000, filledLine(7), false);
     EXPECT_TRUE(evicted.valid);
     EXPECT_TRUE(evicted.dirty);
     ASSERT_EQ(evicted.data.size(), 8u);
@@ -236,7 +597,7 @@ TEST(Cache, InvalidateDropsLine)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 1), true);
+    cache.allocate(0x1000, filledLine(1), true);
     cache.invalidate(0x1000);
     EXPECT_FALSE(cache.contains(0x1000));
 }
@@ -245,26 +606,43 @@ TEST(Cache, FlipInLineCorrectedOnReadAndReported)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 0xaa), false);
-    cache.dataArray().flipBit(cache.geometry().wordsPerLine() *
-                              0 /* depends on set/way */,
-                              3);
-    // Whichever slot it landed in, scrub the whole cache via readLine
-    // of the allocated address: the flip may or may not be in this
-    // line, so instead verify via scrubbing all lines below.
-    uint64_t corrected = 0;
-    for (size_t index = 0; index < cache.geometry().numLines(); ++index)
-        cache.scrubLine(index);
-    corrected = reporter.tally(CacheLevel::L2).corrected;
-    EXPECT_GE(corrected, 0u);  // no crash; reporting path exercised
+    LineData line;
+    for (size_t i = 0; i < line.size(); ++i)
+        line[i] = 0xaa00 + i;
+    cache.allocate(0x1000, line, false);
+    // Find where word 3 of the line landed through its truth, and flip
+    // one of its stored bits.
+    size_t flipped = cache.dataArray().words();
+    for (size_t word = 0; word < cache.dataArray().words(); ++word) {
+        if (cache.dataArray().truth(word) == 0xaa03) {
+            flipped = word;
+            break;
+        }
+    }
+    ASSERT_LT(flipped, cache.dataArray().words());
+    cache.dataArray().flipBit(flipped, 3);
+    ASSERT_TRUE(cache.dataArray().isCorrupted(flipped));
+
+    const ReadOutcome outcome = cache.readWord(0x1000 + 3 * 8);
+    EXPECT_EQ(outcome.status, ecc::CheckStatus::CorrectedSingle);
+    EXPECT_EQ(outcome.value, 0xaa03u);
+    EXPECT_EQ(reporter.tally(CacheLevel::L2).corrected, 1u);
+    EXPECT_EQ(reporter.tally(CacheLevel::L2).uncorrected, 0u);
+    // Repaired in place: stored bits match the truth again, and a
+    // later read is clean and reports nothing.
+    EXPECT_FALSE(cache.dataArray().isCorrupted(flipped));
+    EXPECT_EQ(cache.dataArray().peek(flipped), 0xaa03u);
+    EXPECT_EQ(cache.readWord(0x1000 + 3 * 8).status,
+              ecc::CheckStatus::Clean);
+    EXPECT_EQ(reporter.tally(CacheLevel::L2).corrected, 1u);
 }
 
 TEST(Cache, DrainAllWritesBackDirtyLines)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 1), true);
-    cache.allocate(0x2000, std::vector<uint64_t>(8, 2), false);
+    cache.allocate(0x1000, filledLine(1), true);
+    cache.allocate(0x2000, filledLine(2), false);
     auto dirty = cache.drainAll();
     ASSERT_EQ(dirty.size(), 1u);
     EXPECT_EQ(dirty[0].first, 0x1000u);
@@ -277,7 +655,7 @@ TEST(Cache, OccupancyTracksValidLines)
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
     EXPECT_DOUBLE_EQ(cache.occupancy(), 0.0);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 1), false);
+    cache.allocate(0x1000, filledLine(1), false);
     EXPECT_GT(cache.occupancy(), 0.0);
 }
 
@@ -660,7 +1038,7 @@ TEST(Cache, ParityOnWriteBackReportsUncorrected)
     CacheConfig config = smallCacheConfig();
     config.protection = Protection::Parity;
     Cache cache(config, &reporter);
-    cache.allocate(0x1000, std::vector<uint64_t>(8, 3), true);
+    cache.allocate(0x1000, filledLine(3), true);
     bool flipped = false;
     for (size_t word = 0; word < cache.dataArray().words() && !flipped;
          ++word) {
@@ -670,7 +1048,7 @@ TEST(Cache, ParityOnWriteBackReportsUncorrected)
         }
     }
     ASSERT_TRUE(flipped);
-    std::vector<uint64_t> line;
+    LineData line;
     EXPECT_TRUE(cache.readLine(0x1000, line));
     EXPECT_EQ(reporter.tally(CacheLevel::L2).uncorrected, 1u);
 }
@@ -697,6 +1075,77 @@ TEST(Scrubber, ClockScaleSpeedsPassRate)
     EXPECT_NEAR(static_cast<double>(scaled.linesScrubbed()),
                 0.375 * static_cast<double>(at_full),
                 0.05 * static_cast<double>(at_full));
+}
+
+/** FNV-1a over a byte stream, for pinning snapshot bytes. */
+uint64_t
+streamHash(const std::vector<uint8_t> &bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+TEST(MemorySystem, SnapshotStreamWithCorruptionIsPinned)
+{
+    // The snapshot stream is the checkpoint payload format: its bytes
+    // must not depend on how the hierarchy stores its state. This pins
+    // a tiny hierarchy's stream with dirty lines, DRAM pages, lazily
+    // encoded check bits and corrupt words present, so any layout
+    // change that alters a byte fails here.
+    EdacReporter reporter;
+    MemorySystem memory(tinyConfig(), &reporter);
+    const Addr base = memory.allocate(32 * 1024, "pin");
+    for (size_t i = 0; i < 4096; i += 3)
+        memory.writeWord(static_cast<unsigned>(i % 2), base + 8 * i,
+                         i * 0x9e3779b97f4a7c15ULL);
+    for (size_t i = 0; i < 4096; i += 5)
+        memory.readWord(static_cast<unsigned>((i / 5) % 2), base + 8 * i);
+
+    // Upsets that reads and a patrol pass then consume...
+    memory.l1d(0).dataArray().flipBit(3, 7);
+    memory.l2(0).dataArray().flipBit(10, 1);
+    memory.l2(0).dataArray().flipBit(800, 1);
+    memory.l2(0).dataArray().flipBit(800, 2);
+    memory.l3().dataArray().flipBit(100, 5);
+    for (size_t i = 0; i < 4096; i += 7)
+        memory.readWord(1, base + 8 * i);
+    memory.scrub(8, 8);
+    // ...and upsets still latent at the snapshot, in every kind of
+    // array: single, double and check-bit flips, plus a write over a
+    // check-bit flip (a stale word whose stored and true check bits
+    // differ).
+    memory.l1d(1).dataArray().flipBit(5, 9);
+    memory.l2(0).dataArray().flipBit(900, 1);
+    memory.l2(0).dataArray().flipBit(900, 2);
+    memory.l2(0).dataArray().flipBit(901, 64 + 2);
+    memory.l2(0).dataArray().flipBit(902, 64 + 1);
+    memory.l2(0).dataArray().write(902, 0x1234);
+    memory.l3().dataArray().flipBit(4000, 5);
+    memory.l3().dataArray().flipBit(4001, 64 + 3);
+    memory.l1i(1).array().flipBit(4, 0);
+    memory.tlb(0).array().flipBit(7, 64);
+    ASSERT_GT(memory.l2(0).dataArray().corruptWords(), 0u);
+    ASSERT_GT(memory.l3().dataArray().corruptWords(), 0u);
+
+    SnapshotWriter writer;
+    memory.snapshot(writer);
+    const std::vector<uint8_t> bytes = writer.take();
+    EXPECT_EQ(bytes.size(), 300704u);
+    EXPECT_EQ(streamHash(bytes), 0xbd2fa0f784ba8687ULL);
+
+    // And the stream is a fixed point of restore + snapshot.
+    EdacReporter reporter2;
+    MemorySystem copy(tinyConfig(), &reporter2);
+    SnapshotReader reader(bytes);
+    copy.restore(reader);
+    EXPECT_TRUE(reader.atEnd());
+    SnapshotWriter again;
+    copy.snapshot(again);
+    EXPECT_TRUE(again.data() == bytes);
 }
 
 TEST(MemorySystem, DirtyEvictionWritebackDetectsLatentFlip)
