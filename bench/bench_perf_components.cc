@@ -3,21 +3,28 @@
  * google-benchmark microbenchmarks of the simulator's hot paths: the
  * SECDED codec, parity, SRAM reads, cache word access and line
  * allocation, the full hierarchy walk (warm, streaming, and missing to
- * DRAM), the checkpoint checksum, RNG distributions, beam advancement,
- * and the parallel campaign engine at 1..8 worker threads. These guard the
- * performance budget that makes paper-scale campaigns tractable.
+ * DRAM), owned-line and shared-line L2 writes, a dataset fill through
+ * store runs, the front-end touch quantum, the checkpoint checksum, RNG
+ * distributions, beam advancement, and the parallel campaign engine at
+ * 1..8 worker threads. These guard the performance budget that makes
+ * paper-scale campaigns tractable.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
+#include "cpu/core.hh"
+#include "cpu/xgene2_platform.hh"
 #include "ecc/parity.hh"
 #include "ecc/secded.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "rad/beam_source.hh"
 #include "sim/rng.hh"
+#include "workloads/kernels.hh"
 
 namespace {
 
@@ -174,6 +181,80 @@ BM_MemoryStreamMiss(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MemoryStreamMiss);
+
+void
+BM_WriteWordL2Hit(benchmark::State &state)
+{
+    // Stores to 1024 lines core 0's L2 already owns (writes do not
+    // allocate in L1D): the owned-line path, whose snoop is only
+    // counted.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(mem::MemorySystemConfig{}, &reporter);
+    const size_t lines = 1024;
+    const mem::Addr base = memory.allocate(lines * 64, "bench");
+    for (size_t line = 0; line < lines; ++line)
+        memory.writeWord(0, base + 64 * line, line);
+    size_t line = 0;
+    for (auto _ : state) {
+        memory.writeWord(0, base + 64 * line, line);
+        line = (line + 1) & (lines - 1);
+    }
+}
+BENCHMARK(BM_WriteWordL2Hit);
+
+void
+BM_WriteWordShared(benchmark::State &state)
+{
+    // Cores on two L2 pairs take turns writing one line: every write
+    // misses its own L2 and snoops in full, flushing the other pair's
+    // dirty copy through L3.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(mem::MemorySystemConfig{}, &reporter);
+    const mem::Addr shared = memory.allocate(64, "bench");
+    memory.writeWord(0, shared, 1);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        memory.writeWord(i % 2 == 0 ? 2u : 0u, shared, i);
+        ++i;
+    }
+}
+BENCHMARK(BM_WriteWordShared);
+
+void
+BM_DatasetSetUp(benchmark::State &state)
+{
+    // CG's set-up on a fresh platform: a 12 MB dataset filled line by
+    // line through store runs, then the kernel's own arrays.
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto platform = std::make_unique<cpu::XGene2Platform>();
+        workloads::CgWorkload cg;
+        workloads::RunContext ctx(&platform->memory(), {}, 4096);
+        state.ResumeTiming();
+        cg.setUp(ctx);
+        benchmark::DoNotOptimize(platform->memory().accessCount());
+        state.PauseTiming();
+        platform.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_DatasetSetUp)->Unit(benchmark::kMillisecond);
+
+void
+BM_FrontEndQuantum(benchmark::State &state)
+{
+    // One core's I-fetch and TLB touches for a 4096-access quantum
+    // over footprints that are not powers of two.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(mem::MemorySystemConfig{}, &reporter);
+    cpu::Core core(cpu::CoreConfig{}, &memory, Rng(11));
+    core.setFootprint(3000, 700);
+    for (auto _ : state)
+        core.driveQuantum(4096);
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            4096);
+}
+BENCHMARK(BM_FrontEndQuantum);
 
 void
 BM_CheckpointChecksum(benchmark::State &state)

@@ -11,6 +11,31 @@
 
 namespace xser::cpu {
 
+namespace {
+
+/**
+ * Draw `due` word indices in [0, footprint) of `array` and touch each,
+ * or replace it with probability `replace_fraction`. The rejection
+ * threshold is computed once for the batch (the draws are those of
+ * nextBounded(footprint)), and footprint never exceeds the array, so
+ * the indices need no wrap.
+ */
+void
+touchFootprint(Rng &rng, mem::RefetchableArray &array, uint64_t due,
+               size_t footprint, double replace_fraction)
+{
+    const uint64_t threshold = Rng::boundedThreshold(footprint);
+    for (uint64_t i = 0; i < due; ++i) {
+        const size_t index = rng.nextBounded(footprint, threshold);
+        if (rng.nextBool(replace_fraction))
+            array.replace(index);
+        else
+            array.touch(index);
+    }
+}
+
+} // namespace
+
 Core::Core(const CoreConfig &config, mem::MemorySystem *memory, Rng rng)
     : config_(config), memory_(memory), rng_(rng)
 {
@@ -41,22 +66,10 @@ Core::driveQuantum(uint64_t accesses)
     ifetchCarry_ -= static_cast<double>(ifetch_due);
     tlbCarry_ -= static_cast<double>(tlb_due);
 
-    for (uint64_t i = 0; i < ifetch_due; ++i) {
-        const size_t index = rng_.nextBounded(codeWords_);
-        if (rng_.nextBool(config_.ifetchReplaceFraction))
-            memory_->l1i(config_.id).replace(
-                index % memory_->l1i(config_.id).words());
-        else
-            memory_->touchIFetch(config_.id, index);
-    }
-    for (uint64_t i = 0; i < tlb_due; ++i) {
-        const size_t index = rng_.nextBounded(tlbEntries_);
-        if (rng_.nextBool(config_.tlbReplaceFraction))
-            memory_->tlb(config_.id).replace(
-                index % memory_->tlb(config_.id).words());
-        else
-            memory_->touchTlb(config_.id, index);
-    }
+    touchFootprint(rng_, memory_->l1i(config_.id), ifetch_due, codeWords_,
+                   config_.ifetchReplaceFraction);
+    touchFootprint(rng_, memory_->tlb(config_.id), tlb_due, tlbEntries_,
+                   config_.tlbReplaceFraction);
 }
 
 } // namespace xser::cpu

@@ -100,6 +100,13 @@ class Core
         tlbCarry_ = reader.f64();
         codeWords_ = static_cast<size_t>(reader.u64());
         tlbEntries_ = static_cast<size_t>(reader.u64());
+        // driveQuantum draws indices below these without wrapping.
+        XSER_ASSERT(codeWords_ >= 1 &&
+                        codeWords_ <= memory_->l1i(config_.id).words(),
+                    "snapshot code footprint out of range");
+        XSER_ASSERT(tlbEntries_ >= 1 &&
+                        tlbEntries_ <= memory_->tlb(config_.id).words(),
+                    "snapshot TLB footprint out of range");
     }
 
   private:

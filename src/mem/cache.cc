@@ -265,6 +265,18 @@ Cache::occupancy() const
            static_cast<double>(tagValid_.size());
 }
 
+std::vector<Addr>
+Cache::validLines() const
+{
+    std::vector<Addr> lines;
+    for (size_t slot = 0; slot < tagValid_.size(); ++slot) {
+        if (tagValid_[slot] & 1)
+            lines.push_back(geometry_.lineAddress(
+                tagValid_[slot] >> 1, slot / config_.associativity));
+    }
+    return lines;
+}
+
 void
 Cache::snapshot(SnapshotWriter &writer) const
 {

@@ -230,18 +230,22 @@ class Cache
     }
 
     /**
-     * Overwrite the whole line at (addr, way) -- from findWay(). Same
-     * effect as one writeWord() per word in ascending order: the LRU
-     * clock advances once per word.
+     * Write `count` consecutive words of the line at (addr, way) --
+     * from findWay() -- starting at addr's word. Same effect as one
+     * writeWord() per word in ascending order: the LRU clock advances
+     * once per word.
      */
     void
-    writeLine(Addr addr, const LineData &line, int way)
+    writeRun(Addr addr, const uint64_t *values, size_t count, int way)
     {
-        XSER_ASSERT(way >= 0, msg("writeLine miss in ", config_.name));
+        XSER_ASSERT(way >= 0, msg("writeRun miss in ", config_.name));
+        const size_t offset = geometry_.wordOffset(addr);
+        XSER_ASSERT(count > 0 && offset + count <= lineWords,
+                    msg("writeRun crosses a line in ", config_.name));
         const size_t slot = slotOf(addr, way);
-        useCounter_ += lineWords - 1;
+        useCounter_ += count - 1;
         touch(slot, config_.writePolicy == WritePolicy::WriteBack);
-        dataArray_.writeRange(slot * lineWords, line.data(), lineWords);
+        dataArray_.writeRange(slot * lineWords + offset, values, count);
     }
 
     /**
@@ -281,8 +285,11 @@ class Cache
     /** Fraction of lines currently valid, for occupancy diagnostics. */
     double occupancy() const;
 
+    /** Base addresses of the valid lines, in slot order. */
+    std::vector<Addr> validLines() const;
+
     /** Hit/miss accounting (driven by the hierarchy owner). */
-    void recordHit() { ++stats_.hits; }
+    void recordHit(uint64_t hits = 1) { stats_.hits += hits; }
     void recordMiss() { ++stats_.misses; }
 
     /** Result of scrubbing one line slot. */

@@ -220,19 +220,16 @@ MemorySystem::dramWriteLine(Addr line_addr, const LineData &line)
 void
 MemorySystem::snoopOtherL2s(unsigned writing_pair, Addr line_addr)
 {
+    // Counted before the probes change any residency count.
+    countSnoops(writing_pair, line_addr, 1);
     // One row holds every L2's residency count for this line's bucket.
     const uint32_t *counts =
         residency_->row(ResidencyTable::bucket(line_addr)) + l1d_.size();
-    uint64_t filtered = 0;
     for (unsigned pair = 0; pair < l2_.size(); ++pair) {
-        if (pair == writing_pair)
-            continue;
         // Residency early-out: a zero count proves the line absent, so
         // the snoop is a no-op without a tag search.
-        if (config_.fastPath && counts[pair] == 0) {
-            ++filtered;
+        if (pair == writing_pair || (config_.fastPath && counts[pair] == 0))
             continue;
-        }
         Cache &other = *l2_[pair];
         const int way = other.findWay(line_addr);
         if (way < 0)
@@ -244,8 +241,23 @@ MemorySystem::snoopOtherL2s(unsigned writing_pair, Addr line_addr)
         }
         other.invalidateWay(line_addr, way);
     }
-    telemetry::count(telemetry::Counter::SnoopProbes, l2_.size() - 1);
-    telemetry::count(telemetry::Counter::SnoopsFiltered, filtered);
+}
+
+void
+MemorySystem::countSnoops(unsigned writing_pair, Addr line_addr,
+                          uint64_t snoops)
+{
+    uint64_t filtered = 0;
+    if (config_.fastPath) {
+        const uint32_t *counts =
+            residency_->row(ResidencyTable::bucket(line_addr)) +
+            l1d_.size();
+        for (unsigned pair = 0; pair < l2_.size(); ++pair)
+            filtered += pair != writing_pair && counts[pair] == 0 ? 1 : 0;
+    }
+    telemetry::count(telemetry::Counter::SnoopProbes,
+                     (l2_.size() - 1) * snoops);
+    telemetry::count(telemetry::Counter::SnoopsFiltered, filtered * snoops);
 }
 
 void
@@ -261,7 +273,7 @@ MemorySystem::writeLineToL3(Addr line_addr, const LineData &line)
 {
     const int way = l3_->findWay(line_addr);
     if (way >= 0) {
-        l3_->writeLine(line_addr, line, way);
+        l3_->writeRun(line_addr, line.data(), lineWords, way);
         return;
     }
     installL3(line_addr, line, true);
@@ -410,32 +422,59 @@ MemorySystem::writeWord(unsigned core, Addr addr, uint64_t value)
 
     // Write-through into the (write-back, write-allocate) L2.
     const unsigned pair = core / 2;
-    snoopOtherL2s(pair, line_addr);
     Cache &cache = *l2_[pair];
     int l2_way = cache.findWay(addr);
-    if (l2_way < 0) {
-        cache.recordMiss();
-        readLineFromL3(line_addr, lineScratch_);
-        installL2(pair, line_addr, lineScratch_, false);
-        l2_way = cache.findWay(addr);
-    } else {
+    if (l2_way >= 0 && config_.fastPath) {
+        // L2s are exclusive, so no other L2 holds a line this one
+        // owns: every snoop would come back empty, and is only counted.
+        countSnoops(pair, line_addr, 1);
         cache.recordHit();
+    } else {
+        snoopOtherL2s(pair, line_addr);
+        if (l2_way < 0) {
+            cache.recordMiss();
+            readLineFromL3(line_addr, lineScratch_);
+            installL2(pair, line_addr, lineScratch_, false);
+            l2_way = cache.findWay(addr);
+        } else {
+            cache.recordHit();
+        }
     }
     cache.writeWord(addr, value, l2_way);
 }
 
 void
-MemorySystem::touchIFetch(unsigned core, size_t word_index)
+MemorySystem::writeWords(unsigned core, Addr addr, const uint64_t *values,
+                         size_t count)
 {
-    RefetchableArray &array = *l1i_[core];
-    array.touch(word_index % array.words());
-}
-
-void
-MemorySystem::touchTlb(unsigned core, size_t word_index)
-{
-    RefetchableArray &array = *tlb_[core];
-    array.touch(word_index % array.words());
+    Cache &l1 = *l1d_[core];
+    XSER_ASSERT(count > 0 && l1.geometry().wordOffset(addr) + count <=
+                                 lineWords,
+                "store run must lie within one line");
+    if (!config_.fastPath) {
+        for (size_t i = 0; i < count; ++i)
+            writeWord(core, addr + 8 * i, values[i]);
+        return;
+    }
+    writeWord(core, addr, values[0]);
+    if (count == 1)
+        return;
+    // The first word invalidated every other L1D copy and left the line
+    // owned by this core's L2, and nothing runs between the words: the
+    // rest are owned-line hits whose snoops all come back empty. They
+    // go in as one run, with the per-word accounting of writeWord().
+    const size_t rest = count - 1;
+    const Addr next = addr + 8;
+    accesses_ += rest;
+    cycles_ += rest * config_.l1HitCycles;
+    const int l1_way = l1.findWay(next);
+    if (l1_way >= 0)
+        l1.writeRun(next, values + 1, rest, l1_way);
+    const unsigned pair = core / 2;
+    countSnoops(pair, l1.geometry().lineBase(addr), rest);
+    Cache &cache = *l2_[pair];
+    cache.recordHit(rest);
+    cache.writeRun(next, values + 1, rest, cache.findWay(next));
 }
 
 void
@@ -559,6 +598,14 @@ MemorySystem::restore(SnapshotReader &reader)
         cache->restore(reader);
     for (auto &cache : l2_)
         cache->restore(reader);
+    // The owned-line snoop shortcuts rely on exclusive L2s.
+    for (size_t pair = 0; pair < l2_.size(); ++pair) {
+        for (const Addr line : l2_[pair]->validLines()) {
+            for (size_t other = pair + 1; other < l2_.size(); ++other)
+                XSER_ASSERT(!l2_[other]->contains(line),
+                            "snapshot line valid in two L2s");
+        }
+    }
     l3_->restore(reader);
     for (auto &array : l1i_)
         array->restore(reader);

@@ -14,6 +14,14 @@
  * write-invalidate snoop: good enough for partitioned HPC workloads and
  * guarantees single-writer correctness so that every output mismatch is
  * genuinely radiation-induced.
+ *
+ * The L2s are mutually exclusive: a line is valid in at most one of
+ * them. Every L2 fill (read miss or write allocate) snoops the other
+ * L2s first, and a UE reload refills only a line the same L2 held a
+ * moment before. So a write that hits its own L2 owns the line and
+ * skips the snoop's probes (it still counts them), and a store run
+ * (writeWords) pays one hierarchy walk per line. restore() asserts
+ * the invariant.
  */
 
 #ifndef XSER_MEM_MEMORY_SYSTEM_HH
@@ -99,11 +107,14 @@ class MemorySystem
     /** Write the 64-bit word at addr through core's hierarchy path. */
     void writeWord(unsigned core, Addr addr, uint64_t value);
 
-    /** Model an instruction fetch touching word index of core's L1I. */
-    void touchIFetch(unsigned core, size_t word_index);
-
-    /** Model a TLB lookup touching word index of core's TLB array. */
-    void touchTlb(unsigned core, size_t word_index);
+    /**
+     * Store run: write `count` consecutive words from addr, all in one
+     * line, through core's hierarchy path. Observably identical to
+     * `count` writeWord() calls in ascending order, at the cost of one
+     * hierarchy walk.
+     */
+    void writeWords(unsigned core, Addr addr, const uint64_t *values,
+                    size_t count);
 
     /**
      * Patrol-scrub: advance the round-robin scrub cursors over the L2
@@ -194,6 +205,14 @@ class MemorySystem
 
     /** Snoop other L2s before taking write ownership / reading L3. */
     void snoopOtherL2s(unsigned writing_pair, Addr line_addr);
+
+    /**
+     * Count `snoops` snoops by writing_pair's L2 in the telemetry,
+     * filtered where the residency count is zero. Alone (no probes),
+     * for a line that L2 owns: by exclusivity no other L2 holds it.
+     */
+    void countSnoops(unsigned writing_pair, Addr line_addr,
+                     uint64_t snoops);
 
     /** DRAM access helpers (backing store is authoritative + ECC'd). */
     void dramReadLine(Addr line_addr, LineData &out);

@@ -91,9 +91,28 @@ class Rng
     uint64_t
     nextBounded(uint64_t bound)
     {
+        return nextBounded(bound, boundedThreshold(bound));
+    }
+
+    /**
+     * Rejection threshold of nextBounded(bound): values below it are
+     * redrawn, so the accepted ones cover a multiple of bound. Callers
+     * drawing many times under one bound compute it once.
+     */
+    static uint64_t
+    boundedThreshold(uint64_t bound)
+    {
         XSER_ASSERT(bound > 0, "nextBounded requires a positive bound");
-        // Rejection sampling over the largest multiple of bound.
-        const uint64_t threshold = (0 - bound) % bound;
+        return (0 - bound) % bound;
+    }
+
+    /**
+     * nextBounded(bound) with its threshold precomputed: `threshold`
+     * must be boundedThreshold(bound). Same draws, same results.
+     */
+    uint64_t
+    nextBounded(uint64_t bound, uint64_t threshold)
+    {
         for (;;) {
             uint64_t value = nextU64();
             if (value >= threshold)

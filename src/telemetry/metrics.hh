@@ -45,8 +45,15 @@ enum class Counter : uint32_t {
     EdacUncorrected,       ///< UE posts through EdacReporter
     ScrubPasses,           ///< scrubber advances that scrubbed lines
     ScrubLines,            ///< cache lines swept by the scrubber
-    SnoopProbes,           ///< L2 coherence snoops examined
-    SnoopsFiltered,        ///< snoops skipped by the residency filter
+    /**
+     * L2 protocol snoops: 3 (one per other L2) for every L2 write and
+     * every L2 miss, however each one is resolved -- a tag search, the
+     * residency filter, or the owned-line skip of a write that hits
+     * its own L2.
+     */
+    SnoopProbes,
+    /** Of SnoopProbes, those whose residency count was zero. */
+    SnoopsFiltered,
     BeamArrivals,          ///< upset events injected by the beam
     BeamSettles,           ///< beam settle() evaluations
     BeamQuantaSkipped,     ///< quanta skipped by dose-space skip-ahead

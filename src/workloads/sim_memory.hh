@@ -117,6 +117,21 @@ class SimArray
                            std::bit_cast<uint64_t>(value));
     }
 
+    /**
+     * Store elements [i, i + count), all in one 64-byte line, on behalf
+     * of the context's current core: one store run
+     * (MemorySystem::writeWords), identical to count set() calls.
+     */
+    void
+    setRun(RunContext &ctx, size_t i, const T *values, size_t count)
+    {
+        uint64_t words[mem::lineWords];
+        XSER_ASSERT(count <= mem::lineWords, "store run longer than a line");
+        for (size_t k = 0; k < count; ++k)
+            words[k] = std::bit_cast<uint64_t>(values[k]);
+        memory_->writeWords(ctx.core(), base_ + 8 * i, words, count);
+    }
+
     /** Base address (for footprint diagnostics). */
     mem::Addr base() const { return base_; }
 

@@ -5,6 +5,7 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -51,13 +52,36 @@ Workload::setUp(RunContext &ctx)
 {
     const auto &info = traits();
     if (info.datasetWords > 0) {
-        dataset_ = SimArray<uint64_t>(ctx.memory(), info.datasetWords,
+        const size_t words = info.datasetWords;
+        dataset_ = SimArray<uint64_t>(ctx.memory(), words,
                                       info.name + ".dataset");
-        for (size_t i = 0; i < info.datasetWords; ++i) {
-            ctx.setCore(ctx.coreForIndex(i, info.datasetWords));
-            dataset_.set(ctx, i, datasetValue(i));
-            if ((i & 2047) == 0)
+        // Line by line (the array is line-aligned), each line as one
+        // store run when a single core owns all of it. The quantum poll
+        // every 2048 words follows a line's word 0 and may beam or scrub
+        // the line, so there the run restarts after it.
+        uint64_t line[mem::lineWords];
+        for (size_t i = 0; i < words; i += mem::lineWords) {
+            const size_t count = std::min(mem::lineWords, words - i);
+            for (size_t k = 0; k < count; ++k)
+                line[k] = datasetValue(i + k);
+            const unsigned core = ctx.coreForIndex(i, words);
+            ctx.setCore(core);
+            size_t done = 0;
+            if ((i & 2047) == 0) {
+                dataset_.set(ctx, i, line[0]);
                 ctx.poll();
+                done = 1;
+            }
+            if (ctx.coreForIndex(i + count - 1, words) == core) {
+                if (done < count)
+                    dataset_.setRun(ctx, i + done, line + done,
+                                    count - done);
+                continue;
+            }
+            for (size_t k = done; k < count; ++k) {
+                ctx.setCore(ctx.coreForIndex(i + k, words));
+                dataset_.set(ctx, i + k, line[k]);
+            }
         }
     }
     windowCursor_ = 0;

@@ -17,6 +17,7 @@
 #include "mem/tlb.hh"
 #include "sim/rng.hh"
 #include "sim/snapshot.hh"
+#include "telemetry/metrics.hh"
 
 #include <algorithm>
 #include <array>
@@ -813,11 +814,11 @@ TEST(MemorySystem, TouchRepairsFlippedIFetchWord)
     MemorySystem memory(tinyConfig(), &reporter);
     RefetchableArray &l1i = memory.l1i(0);
     l1i.array().flipBit(5, 3);
-    memory.touchIFetch(0, 5);
+    l1i.touch(5);
     EXPECT_EQ(reporter.tally(CacheLevel::L1).corrected, 1u);
     EXPECT_EQ(l1i.repairs(), 1u);
     // Word is repaired: touching again reports nothing new.
-    memory.touchIFetch(0, 5);
+    l1i.touch(5);
     EXPECT_EQ(reporter.tally(CacheLevel::L1).corrected, 1u);
 }
 
@@ -826,7 +827,7 @@ TEST(MemorySystem, TlbTouchAttributesToTlbLevel)
     EdacReporter reporter;
     MemorySystem memory(tinyConfig(), &reporter);
     memory.tlb(1).array().flipBit(7, 0);
-    memory.touchTlb(1, 7);
+    memory.tlb(1).touch(7);
     EXPECT_EQ(reporter.tally(CacheLevel::Tlb).corrected, 1u);
 }
 
@@ -1203,6 +1204,288 @@ TEST(RefetchableArray, ResetRestoresDeterministicContents)
     a.reset();
     for (size_t i = 0; i < 16; ++i)
         EXPECT_EQ(a.array().peek(i), b.array().peek(i));
+}
+
+/* ------------------- Store runs and exclusive L2s ---------------- */
+
+/** An 8-core (four L2 pair) hierarchy small enough to thrash. */
+MemorySystemConfig
+eightCoreConfig(bool fast_path)
+{
+    MemorySystemConfig config = tinyConfig();
+    config.numCores = 8;
+    config.fastPath = fast_path;
+    return config;
+}
+
+/** Flip one stored bit of the word at addr in `cache`, if present. */
+void
+flipCopy(Cache &cache, Addr addr, unsigned bit)
+{
+    const int way = cache.findWay(addr);
+    if (way < 0)
+        return;
+    const size_t slot =
+        cache.geometry().setIndex(addr) * cache.config().associativity +
+        static_cast<size_t>(way);
+    cache.dataArray().flipBit(
+        slot * lineWords + cache.geometry().wordOffset(addr),
+        bit % cache.dataArray().bitsPerWord());
+}
+
+/** Upsets in every cached copy of addr's word: L1Ds, L2s and L3. */
+void
+flipCopies(MemorySystem &memory, Addr addr, unsigned bit, bool twice)
+{
+    const unsigned cores = memory.config().numCores;
+    std::vector<Cache *> caches;
+    for (unsigned core = 0; core < cores; ++core)
+        caches.push_back(&memory.l1d(core));
+    for (unsigned pair = 0; pair < cores / 2; ++pair)
+        caches.push_back(&memory.l2(pair));
+    caches.push_back(&memory.l3());
+    for (Cache *cache : caches) {
+        flipCopy(*cache, addr, bit);
+        // A second flip in the same word: a SECDED UE in L2/L3.
+        if (twice)
+            flipCopy(*cache, addr, (bit + 17) % 64);
+    }
+}
+
+void
+expectStatsEqual(const CacheStats &a, const CacheStats &b,
+                 const std::string &where)
+{
+    EXPECT_EQ(a.hits, b.hits) << where;
+    EXPECT_EQ(a.misses, b.misses) << where;
+    EXPECT_EQ(a.evictions, b.evictions) << where;
+    EXPECT_EQ(a.writebacks, b.writebacks) << where;
+    EXPECT_EQ(a.invalidations, b.invalidations) << where;
+}
+
+/** Every observable of two hierarchies driven through the same ops. */
+void
+expectHierarchiesEqual(MemorySystem &a, MemorySystem &b, int op)
+{
+    EXPECT_EQ(a.accessCount(), b.accessCount()) << "op " << op;
+    EXPECT_EQ(a.cyclesAccumulated(), b.cyclesAccumulated()) << "op " << op;
+    const unsigned cores = a.config().numCores;
+    for (unsigned core = 0; core < cores; ++core)
+        expectStatsEqual(a.l1d(core).stats(), b.l1d(core).stats(),
+                         msg("l1d.", core, " op ", op));
+    for (unsigned pair = 0; pair < cores / 2; ++pair)
+        expectStatsEqual(a.l2(pair).stats(), b.l2(pair).stats(),
+                         msg("l2.", pair, " op ", op));
+    expectStatsEqual(a.l3().stats(), b.l3().stats(), msg("l3 op ", op));
+    const std::vector<BeamTarget> targets_a = a.beamTargets();
+    const std::vector<BeamTarget> targets_b = b.beamTargets();
+    ASSERT_EQ(targets_a.size(), targets_b.size());
+    for (size_t i = 0; i < targets_a.size(); ++i) {
+        SCOPED_TRACE(msg(targets_a[i].array->name(), " op ", op));
+        expectCountersEqual(targets_a[i].array->counters(),
+                            targets_b[i].array->counters());
+    }
+    SnapshotWriter writer_a;
+    SnapshotWriter writer_b;
+    a.snapshot(writer_a);
+    b.snapshot(writer_b);
+    EXPECT_EQ(firstDifference(writer_a.data(), writer_b.data()), -1)
+        << "op " << op;
+}
+
+TEST(MemorySystem, WriteWordsMatchesWriteWord)
+{
+    // Twin hierarchies take the same seeded ops; store runs go to one
+    // as writeWords() and to the other as a writeWord() per word. Reads
+    // from every core spread lines over other L1Ds and L2s, upsets land
+    // in L1D, L2 and L3 copies, and the patrol scrubber runs, so runs
+    // meet shared, dirty, evicted and corrupt lines.
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
+        EdacReporter reporter_a;
+        EdacReporter reporter_b;
+        MemorySystem runs(eightCoreConfig(fast_path), &reporter_a);
+        MemorySystem words(eightCoreConfig(fast_path), &reporter_b);
+        const size_t lines = 1536;  // past the 1024-line L3
+        const Addr base = runs.allocate(lines * 64, "runs");
+        ASSERT_EQ(words.allocate(lines * 64, "runs"), base);
+        telemetry::MetricShard shard_a;
+        telemetry::MetricShard shard_b;
+
+        Rng rng(fast_path ? 0x5707eULL : 0x5708eULL);
+        for (int op = 0; op < 6000; ++op) {
+            const auto core = static_cast<unsigned>(rng.nextBounded(8));
+            const Addr line = base + 64 * rng.nextBounded(lines);
+            const uint64_t kind = rng.nextBounded(100);
+            if (kind < 45) {
+                const size_t count = 1 + rng.nextBounded(8);
+                const size_t offset = rng.nextBounded(9 - count);
+                uint64_t values[lineWords];
+                for (size_t k = 0; k < count; ++k)
+                    values[k] = rng.nextU64();
+                const Addr addr = line + 8 * offset;
+                {
+                    telemetry::ShardScope scope(&shard_a);
+                    runs.writeWords(core, addr, values, count);
+                }
+                telemetry::ShardScope scope(&shard_b);
+                for (size_t k = 0; k < count; ++k)
+                    words.writeWord(core, addr + 8 * k, values[k]);
+            } else if (kind < 85) {
+                const Addr addr = line + 8 * rng.nextBounded(8);
+                uint64_t got_a = 0;
+                {
+                    telemetry::ShardScope scope(&shard_a);
+                    got_a = runs.readWord(core, addr);
+                }
+                telemetry::ShardScope scope(&shard_b);
+                ASSERT_EQ(got_a, words.readWord(core, addr)) << "op " << op;
+            } else if (kind < 95) {
+                const Addr addr = line + 8 * rng.nextBounded(8);
+                const auto bit = static_cast<unsigned>(rng.nextBounded(72));
+                const bool twice = rng.nextBool(0.3);
+                flipCopies(runs, addr, bit, twice);
+                flipCopies(words, addr, bit, twice);
+            } else {
+                const size_t l2_lines = rng.nextBounded(64);
+                const size_t l3_lines = rng.nextBounded(256);
+                runs.scrub(l2_lines, l3_lines);
+                words.scrub(l2_lines, l3_lines);
+            }
+            if (op % 1000 == 999) {
+                expectHierarchiesEqual(runs, words, op);
+                if (HasFailure())
+                    return;
+            }
+        }
+        for (const telemetry::Counter counter :
+             {telemetry::Counter::SnoopProbes,
+              telemetry::Counter::SnoopsFiltered}) {
+            const auto index = static_cast<size_t>(counter);
+            EXPECT_EQ(shard_a.counters[index], shard_b.counters[index])
+                << telemetry::counterName(counter);
+        }
+        EXPECT_GT(shard_a.counters[static_cast<size_t>(
+                      telemetry::Counter::SnoopProbes)],
+                  0u);
+        EXPECT_GT(reporter_a.totalUncorrected(), 0u);
+        EXPECT_EQ(reporter_a.totalCorrected(), reporter_b.totalCorrected());
+        EXPECT_EQ(reporter_a.totalUncorrected(),
+                  reporter_b.totalUncorrected());
+    }
+}
+
+TEST(MemorySystem, OwnedLineWritesCountSnoopsLikeTheFullSnoop)
+{
+    // Counts worked out from the protocol: every L2 write snoops the 3
+    // other L2s, and a snoop is filtered when that L2 holds no line of
+    // the bucket. Pair 1 holds a line y of x's bucket, so its probe for
+    // x is never filtered -- whether the write misses (a tag search)
+    // or hits an owned line (counted only).
+    EdacReporter reporter;
+    MemorySystem memory(eightCoreConfig(true), &reporter);
+    const size_t lines = size_t{1} << 16;
+    const Addr x = memory.allocate(lines * 64, "snoops");
+    Addr y = x + 64;
+    while (ResidencyTable::bucket(y) != ResidencyTable::bucket(x))
+        y += 64;
+    ASSERT_LT(y, x + lines * 64);
+    memory.readWord(2, y);
+
+    telemetry::MetricShard shard;
+    {
+        telemetry::ShardScope scope(&shard);
+        memory.writeWord(0, x, 1);      // L2 miss: full snoop
+        memory.writeWord(1, x + 8, 2);  // owned by pair 0's L2
+        const uint64_t values[6] = {3, 4, 5, 6, 7, 8};
+        memory.writeWords(0, x + 16, values, 6);
+    }
+    EXPECT_EQ(shard.counters[static_cast<size_t>(
+                  telemetry::Counter::SnoopProbes)],
+              3u * 8);
+    EXPECT_EQ(shard.counters[static_cast<size_t>(
+                  telemetry::Counter::SnoopsFiltered)],
+              2u * 8);
+    for (uint64_t k = 0; k < 8; ++k)
+        EXPECT_EQ(memory.readWord(5, x + 8 * k), k + 1);
+}
+
+/** Lines of [base, base + lines * 64) valid in more than one L2. */
+size_t
+linesInTwoL2s(MemorySystem &memory, Addr base, size_t lines)
+{
+    size_t shared = 0;
+    const unsigned pairs = memory.config().numCores / 2;
+    for (size_t i = 0; i < lines; ++i) {
+        unsigned holders = 0;
+        for (unsigned pair = 0; pair < pairs; ++pair)
+            holders += memory.l2(pair).contains(base + 64 * i) ? 1 : 0;
+        shared += holders > 1 ? 1 : 0;
+    }
+    return shared;
+}
+
+TEST(MemorySystem, L2sStayExclusive)
+{
+    // The owned-line snoop skip rests on this invariant: every L2 fill
+    // snoops the other L2s first, and a UE reload refills only a line
+    // the same L2 just held. Random traffic from all eight cores, with
+    // single and double upsets in L2/L3 copies (CE repairs and clean
+    // UE reloads), patrol scrubs and flushes, must never leave a line
+    // valid in two L2s.
+    EdacReporter reporter;
+    MemorySystem memory(eightCoreConfig(true), &reporter);
+    const size_t lines = 640;
+    const Addr base = memory.allocate(lines * 64, "exclusive");
+    Rng rng(0xe8c1ULL);
+    for (int op = 0; op < 8000; ++op) {
+        const auto core = static_cast<unsigned>(rng.nextBounded(8));
+        const Addr addr = base + 8 * rng.nextBounded(lines * 8);
+        const uint64_t kind = rng.nextBounded(100);
+        if (kind < 40) {
+            memory.writeWord(core, addr, rng.nextU64());
+        } else if (kind < 85) {
+            memory.readWord(core, addr);
+        } else if (kind < 96) {
+            const unsigned pair = core / 2;
+            const auto bit = static_cast<unsigned>(rng.nextBounded(64));
+            flipCopy(memory.l2(pair), addr, bit);
+            if (rng.nextBool(0.5))
+                flipCopy(memory.l2(pair), addr, (bit + 9) % 64);
+            if (rng.nextBool(0.3)) {
+                flipCopy(memory.l3(), addr, bit);
+                flipCopy(memory.l3(), addr, (bit + 5) % 64);
+            }
+        } else if (kind < 99) {
+            memory.scrub(rng.nextBounded(128), rng.nextBounded(256));
+        } else {
+            memory.flushAll();
+        }
+        ASSERT_EQ(linesInTwoL2s(memory, base, lines), 0u) << "op " << op;
+    }
+    EXPECT_GT(reporter.tally(CacheLevel::L2).uncorrected, 0u);
+}
+
+TEST(MemorySystemDeathTest, RestoreRejectsLineValidInTwoL2s)
+{
+    // Build a state the protocol never reaches -- one line in two L2s
+    // -- by allocating into the caches directly, then restore it.
+    EdacReporter reporter;
+    MemorySystem memory(eightCoreConfig(true), &reporter);
+    const Addr addr = memory.allocate(64, "shared");
+    memory.l2(0).allocate(addr, filledLine(1), false);
+    memory.l2(2).allocate(addr, filledLine(1), false);
+    SnapshotWriter writer;
+    memory.snapshot(writer);
+    const std::vector<uint8_t> bytes = writer.take();
+    EXPECT_DEATH(
+        {
+            EdacReporter reporter2;
+            MemorySystem copy(eightCoreConfig(true), &reporter2);
+            SnapshotReader reader(bytes);
+            copy.restore(reader);
+        },
+        "valid in two L2s");
 }
 
 /* ------------------------- EdacReporter -------------------------- */

@@ -314,8 +314,9 @@ TEST(ServiceCodec, EveryShardAssignBitFlipNeverCrashes)
         // Either outcome is fine -- a flipped coordinate can still be
         // a well-formed message -- the requirement is no crash and a
         // nonempty error whenever the decode refuses.
-        if (!decodeShardAssign(flipped, decoded, error))
+        if (!decodeShardAssign(flipped, decoded, error)) {
             EXPECT_FALSE(error.empty()) << "bit " << bit;
+        }
     }
 }
 

@@ -79,6 +79,38 @@ TEST(Rng, BoundedRespectsBound)
     EXPECT_EQ(seen.size(), 17u);
 }
 
+TEST(Rng, HoistedThresholdMatchesNextBounded)
+{
+    // Rejection sampling as written inline, threshold per draw.
+    auto reference = [](Rng &rng, uint64_t bound) {
+        const uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            const uint64_t value = rng.nextU64();
+            if (value >= threshold)
+                return value % bound;
+        }
+    };
+    // Bounds just past 2^63 reject about half of all draws, so the
+    // precomputed-threshold form is checked on the rejection path too.
+    for (const uint64_t bound :
+         {uint64_t{1}, uint64_t{17}, uint64_t{1064}, uint64_t{4096},
+          (uint64_t{1} << 63) + 1, ~uint64_t{0} / 3 * 2}) {
+        Rng a(bound);
+        Rng b(bound);
+        Rng c(bound);
+        const uint64_t threshold = Rng::boundedThreshold(bound);
+        for (int i = 0; i < 1000; ++i) {
+            const uint64_t expected = reference(a, bound);
+            ASSERT_EQ(b.nextBounded(bound, threshold), expected)
+                << "bound " << bound << " draw " << i;
+            ASSERT_EQ(c.nextBounded(bound), expected)
+                << "bound " << bound << " draw " << i;
+        }
+        EXPECT_EQ(a.state(), b.state()) << "bound " << bound;
+        EXPECT_EQ(a.state(), c.state()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, BernoulliEdgeCases)
 {
     Rng rng(7);
