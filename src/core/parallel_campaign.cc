@@ -6,9 +6,10 @@
 #include "core/parallel_campaign.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "core/shard_executor.hh"
@@ -142,8 +143,7 @@ ParallelCampaignRunner::ParallelCampaignRunner(
 }
 
 std::vector<CampaignResult>
-ParallelCampaignRunner::run(unsigned count,
-                            trace::TraceWriter *trace_writer) const
+ParallelCampaignRunner::run(unsigned count, trace::TraceWriter *trace_writer)
 {
     const size_t num_sessions = config_.sessions.size();
     const size_t units = num_sessions * count;
@@ -168,76 +168,126 @@ ParallelCampaignRunner::run(unsigned count,
     }
 
     // The calling thread records into shard 0 for the serial phases
-    // (trace write, merge) and the inline pool path; pool workers
-    // install their own shard below. Null when telemetry is off.
+    // (trace write, merge); pool workers install their own shard
+    // below. Null when telemetry is off.
     const telemetry::ShardScope caller_scope(
         run_.metrics != nullptr ? &run_.metrics->shard(0) : nullptr);
 
-    // Atomic-cursor worker pool over `n` index-keyed tasks; results
-    // always land in pre-sized slots keyed by index, so worker
-    // scheduling can never reorder them. Worker w records telemetry
-    // into shard w -- shards are never shared, and the registry merge
-    // walks them in index order, so the merged counters are the same
-    // for any worker count or schedule.
-    auto run_pool = [this](size_t n, const auto &task) {
-        const size_t workers = std::min<size_t>(run_.jobs, n);
-        if (workers <= 1) {
-            for (size_t i = 0; i < n; ++i)
-                task(i);
-            return;
-        }
-        std::atomic<size_t> cursor{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (size_t i = 0; i < workers; ++i) {
-            pool.emplace_back([&, i]() {
-                const telemetry::ShardScope scope(
-                    run_.metrics != nullptr
-                        ? &run_.metrics->shard(i)
-                        : nullptr);
-                for (;;) {
-                    const size_t index =
-                        cursor.fetch_add(1, std::memory_order_relaxed);
-                    if (index >= n)
-                        return;
-                    task(index);
+    // One session-major task stream (DESIGN.md section 10): session s
+    // is a seal task (checkpoint mode) followed by its `count` unit
+    // tasks. The prefix never consumes the session seed (see
+    // TestSession), so one sealed envelope serves every replicate
+    // continuation. A worker takes the lowest unclaimed unit of a
+    // sealed session, seals the next session only when no such unit
+    // exists, and frees a session's envelope after its last unit. So
+    // at most min(jobs, sessions) envelopes are resident: when a seal
+    // starts, every other live envelope has a distinct worker on it
+    // (sealing, running one of its units, or freeing it). Results land
+    // in pre-sized slots keyed by unit index, so the schedule can
+    // never reorder them.
+    struct SessionTasks {
+        std::vector<uint8_t> envelope;
+        bool sealed = false;
+        unsigned claimed = 0;   ///< replicates handed to a worker
+        unsigned finished = 0;  ///< replicates whose unit returned
+    };
+    std::vector<SessionResult> slots(units);
+
+    // Scheduler state, all guarded by `mutex`. An envelope's bytes are
+    // the exception: they are stored before their session is marked
+    // sealed and freed only after its last unit returned, so units
+    // read them unlocked. Without checkpoints there is nothing to
+    // seal, and every session's units are claimable from the start.
+    std::mutex mutex;
+    std::condition_variable sealed_cv;  // notified by every finished seal
+    std::vector<SessionTasks> tasks(
+        num_sessions, SessionTasks{{}, !run_.checkpoint, 0, 0});
+    size_t next_seal = run_.checkpoint ? 0 : num_sessions;
+    size_t first_open = 0;  // no session below this has unclaimed units
+    size_t sealing = 0;     // seal tasks in flight
+    size_t seals_done = 0;  // seal tasks finished
+    size_t live = 0;        // envelopes sealing or sealed, not yet freed
+    peakLiveCheckpoints_ = 0;
+
+    // Worker w records telemetry into shard w -- shards are never
+    // shared, and the registry merge walks them in index order, so the
+    // merged counters are the same for any worker count or schedule.
+    auto worker = [&](size_t w) {
+        const telemetry::ShardScope scope(
+            run_.metrics != nullptr ? &run_.metrics->shard(w)
+                                    : nullptr);
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            while (first_open < num_sessions &&
+                   tasks[first_open].claimed == count)
+                ++first_open;
+            size_t session = first_open;
+            while (session < next_seal &&
+                   !(tasks[session].sealed &&
+                     tasks[session].claimed < count))
+                ++session;
+            if (session < next_seal) {
+                SessionTasks &task = tasks[session];
+                const unsigned replicate = task.claimed++;
+                const size_t unit = replicate * num_sessions + session;
+                lock.unlock();
+                slots[unit] = executor.runUnitRecorded(
+                    session, replicate,
+                    tracing ? buffers[unit].get() : nullptr,
+                    run_.checkpoint ? &task.envelope : nullptr);
+                if (run_.progress != nullptr)
+                    run_.progress->tick();
+                lock.lock();
+                if (run_.checkpoint && ++task.finished == count) {
+                    // No unit reads the envelope any more. It sits
+                    // above glibc's mmap threshold, so the free hands
+                    // its pages straight back to the OS.
+                    lock.unlock();
+                    task.envelope = std::vector<uint8_t>();
+                    lock.lock();
+                    --live;
                 }
-            });
+                continue;
+            }
+            if (next_seal < num_sessions) {
+                const size_t seal = next_seal++;
+                ++sealing;
+                peakLiveCheckpoints_ =
+                    std::max(peakLiveCheckpoints_, ++live);
+                lock.unlock();
+                std::vector<uint8_t> envelope = executor.sealPrefix(seal);
+                if (run_.progress != nullptr)
+                    run_.progress->tick();
+                lock.lock();
+                tasks[seal].envelope = std::move(envelope);
+                tasks[seal].sealed = true;
+                --sealing;
+                ++seals_done;
+                sealed_cv.notify_all();
+                continue;
+            }
+            // Every unit is claimed or waits on a seal in flight, and
+            // only a finished seal can make work ready.
+            if (sealing == 0)
+                return;
+            const size_t seen = seals_done;
+            sealed_cv.wait(lock, [&] { return seals_done != seen; });
         }
-        for (auto &thread : pool)
-            thread.join();
     };
 
-    // Phase 1 (checkpoint mode): one golden prefix per session, sealed
-    // into an envelope. The prefix never consumes the session seed
-    // (see TestSession), so one snapshot serves all `count` replicate
-    // continuations -- this is what importance splitting buys: the
-    // seed-independent work is paid num_sessions times instead of
-    // `units` times.
-    std::vector<std::vector<uint8_t>> checkpoints(
-        run_.checkpoint ? num_sessions : 0);
-    if (run_.checkpoint) {
-        run_pool(num_sessions, [&](size_t session) {
-            checkpoints[session] = executor.sealPrefix(session);
-            if (run_.progress != nullptr)
-                run_.progress->tick();
-        });
+    // One worker runs inline on the calling thread: seal session s,
+    // run its units, free its envelope, then session s + 1.
+    const size_t workers = std::min<size_t>(run_.jobs, units);
+    if (workers <= 1) {
+        worker(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (size_t w = 0; w < workers; ++w)
+            pool.emplace_back(worker, w);
+        for (auto &thread : pool)
+            thread.join();
     }
-
-    // Phase 2: the (session, replicate) units -- continuations forked
-    // from the checkpoints, or whole sessions when checkpointing is
-    // off.
-    std::vector<SessionResult> slots(units);
-    run_pool(units, [&](size_t unit) {
-        const size_t replicate = unit / num_sessions;
-        const size_t session = unit % num_sessions;
-        slots[unit] = executor.runUnitRecorded(
-            session, static_cast<unsigned>(replicate),
-            tracing ? buffers[unit].get() : nullptr,
-            run_.checkpoint ? &checkpoints[session] : nullptr);
-        if (run_.progress != nullptr)
-            run_.progress->tick();
-    });
 
     if (trace_writer != nullptr) {
         const telemetry::ScopedPhase timer(

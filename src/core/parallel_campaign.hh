@@ -25,6 +25,7 @@
 #ifndef XSER_CORE_PARALLEL_CAMPAIGN_HH
 #define XSER_CORE_PARALLEL_CAMPAIGN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -137,6 +138,16 @@ struct ReplicatedCampaignResult {
  * seam the distributed campaign service also drives); this class adds
  * the thread pool, the pre-allocated trace-buffer slots, and the
  * canonical post-drain merges.
+ *
+ * The pool streams sessions: in checkpoint mode each session is one
+ * seal task (its golden prefix, sealed into an envelope) followed by
+ * its replicate units. Workers take the lowest unclaimed unit of a
+ * sealed session, seal the next session only when no such unit is
+ * ready, and free a session's envelope when its last unit returns.
+ * Resident envelopes are therefore bounded by min(jobs, sessions),
+ * not by the session count -- one at --jobs 1, where the calling
+ * thread seals a session, runs its units and frees it before moving
+ * on (DESIGN.md section 10).
  */
 class ParallelCampaignRunner
 {
@@ -158,13 +169,21 @@ class ParallelCampaignRunner
     ReplicatedCampaignResult
     executeAll(trace::TraceWriter *trace_writer = nullptr);
 
+    /**
+     * Most checkpoint envelopes resident at once during the last
+     * execute()/executeAll() -- sealing or sealed and not yet freed.
+     * At most min(jobs, sessions); 0 with checkpointing off.
+     */
+    size_t peakLiveCheckpoints() const { return peakLiveCheckpoints_; }
+
   private:
     /** Execute `count` replicates and return them in index order. */
     std::vector<CampaignResult>
-    run(unsigned count, trace::TraceWriter *trace_writer) const;
+    run(unsigned count, trace::TraceWriter *trace_writer);
 
     CampaignConfig config_;
     ParallelRunConfig run_;
+    size_t peakLiveCheckpoints_ = 0;
 };
 
 } // namespace xser::core

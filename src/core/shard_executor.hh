@@ -48,9 +48,9 @@ class ShardExecutor
     /**
      * Run the session's seed-independent golden prefix and seal it
      * into a checkpoint envelope (core/checkpoint.hh). Records the
-     * phase-1 telemetry (SessionsPrefixed, CheckpointKilobytes) on
-     * the caller's active shard, exactly as the local runner's
-     * phase 1 does.
+     * seal telemetry (SessionsPrefixed, CheckpointKilobytes) on the
+     * caller's active shard, exactly as the local runner's seal
+     * tasks do.
      */
     std::vector<uint8_t> sealPrefix(size_t session_index) const;
 

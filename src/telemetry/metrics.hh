@@ -36,7 +36,7 @@ namespace xser::telemetry {
 /** Deterministic event counters (values independent of --jobs). */
 enum class Counter : uint32_t {
     UnitsCompleted,        ///< (session, replicate) units finished
-    SessionsPrefixed,      ///< golden prefixes executed (phase 1)
+    SessionsPrefixed,      ///< golden prefixes executed (seal tasks)
     CheckpointsSealed,     ///< checkpoint envelopes written
     CheckpointSealedBytes, ///< total sealed envelope bytes
     CheckpointsOpened,     ///< envelopes validated and restored

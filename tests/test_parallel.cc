@@ -3,14 +3,25 @@
  * Determinism tests for the parallel campaign engine: results must be
  * bit-identical for any worker count (1, 2, 8), with or without
  * replicates, and the merged replicate summary must not depend on how
- * units were scheduled across the pool.
+ * units were scheduled across the pool. The streamed seal/unit schedule
+ * is additionally checked for its checkpoint-residency bound and, on a
+ * grid of worker and replicate counts, for trace and manifest bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "core/beam_campaign.hh"
 #include "core/fit_calculator.hh"
 #include "core/parallel_campaign.hh"
+#include "core/run_manifest.hh"
+#include "telemetry/metrics.hh"
+#include "trace/trace_writer.hh"
 
 namespace xser::core {
 namespace {
@@ -252,6 +263,176 @@ TEST(ParallelRunner, ExecuteReturnsReplicateZeroOnly)
     ASSERT_EQ(result.sessions.size(), 2u);
     BeamCampaign sequential(config);
     expectCampaignsBitIdentical(sequential.execute(), result);
+}
+
+/**
+ * Smallest campaign that still seals, forks and traces real sessions:
+ * the paper's four operating points, one small workload, two measured
+ * runs each. Small enough for the ThreadSanitizer job.
+ */
+CampaignConfig
+microCampaign(uint64_t seed = 0x5e5510ULL)
+{
+    CampaignConfig config = BeamCampaign::paperCampaign(0.02, seed);
+    for (auto &session : config.sessions) {
+        session.workloadNames = {"EP"};
+        session.maxErrorEvents = 2;
+        session.maxFluence = 5e8;
+        session.maxRuns = 2;
+        session.warmupRounds = 0;
+    }
+    return config;
+}
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+/** Everything observable about one traced, metered runner execution. */
+struct ScheduledRun {
+    ReplicatedCampaignResult result;
+    std::string traceBytes;
+    std::string manifest;  ///< rendered manifest up to "timing"
+    size_t peakLiveCheckpoints = 0;
+};
+
+ScheduledRun
+runScheduled(const std::string &tag, const CampaignConfig &config,
+             unsigned jobs, unsigned replicates, bool checkpoint)
+{
+    const std::string path = ::testing::TempDir() + "schedule-" + tag +
+                             "-j" + std::to_string(jobs) + "-r" +
+                             std::to_string(replicates) +
+                             (checkpoint ? "-on" : "-off") + ".xtrace";
+    telemetry::MetricRegistry registry(jobs);
+    ParallelRunConfig run;
+    run.jobs = jobs;
+    run.replicates = replicates;
+    run.checkpoint = checkpoint;
+    run.metrics = &registry;
+    ParallelCampaignRunner runner(config, run);
+    ScheduledRun out;
+    {
+        trace::TraceWriter writer(path);
+        out.result = runner.executeAll(&writer);
+    }
+    out.traceBytes = readFileBytes(path);
+    out.peakLiveCheckpoints = runner.peakLiveCheckpoints();
+
+    ManifestRunInfo info;
+    info.tool = "test";
+    info.configHash = campaignConfigHash(config);
+    info.seed = run.seed;
+    info.sessions = static_cast<unsigned>(config.sessions.size());
+    info.replicates = replicates;
+    info.checkpoint = checkpoint;
+    const std::string manifest = renderRunManifest(
+        info, out.result.sessions, &registry, jobs, 0.0);
+    // "timing" is the last section and the only one allowed to differ.
+    out.manifest = manifest.substr(0, manifest.find("\"timing\""));
+    return out;
+}
+
+void
+expectSweepsBitIdentical(const ReplicatedCampaignResult &a,
+                         const ReplicatedCampaignResult &b)
+{
+    ASSERT_EQ(a.replicates.size(), b.replicates.size());
+    for (size_t r = 0; r < a.replicates.size(); ++r) {
+        SCOPED_TRACE("replicate " + std::to_string(r));
+        expectCampaignsBitIdentical(a.replicates[r], b.replicates[r]);
+    }
+    ASSERT_EQ(a.sessions.size(), b.sessions.size());
+    for (size_t s = 0; s < a.sessions.size(); ++s)
+        expectAggregatesBitIdentical(a.sessions[s], b.sessions[s]);
+}
+
+TEST(ScheduleIndependence, GridMatchesSequentialCheckpointOffAndOneWorker)
+{
+    // The streamed seal/unit schedule must be invisible: on every cell
+    // of jobs {1, 2, 3, 8} x replicates {1, 2, 5} a checkpointed run
+    // equals the sequential campaign (replicate 0), the checkpoint-off
+    // run (results and trace bytes) and the 1-worker run (manifest
+    // outside "timing").
+    const CampaignConfig config = microCampaign();
+    const CampaignResult sequential = BeamCampaign(config).execute();
+    uint64_t raw_upsets = 0;
+    for (const unsigned replicates : {1u, 2u, 5u}) {
+        const ScheduledRun off =
+            runScheduled("grid", config, 1, replicates, false);
+        ASSERT_FALSE(off.traceBytes.empty());
+        std::string one_worker_manifest;
+        for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) +
+                         " replicates " + std::to_string(replicates));
+            const ScheduledRun on =
+                runScheduled("grid", config, jobs, replicates, true);
+            expectCampaignsBitIdentical(sequential,
+                                        on.result.replicates[0]);
+            expectSweepsBitIdentical(off.result, on.result);
+            EXPECT_EQ(off.traceBytes, on.traceBytes);
+            ASSERT_NE(on.manifest.find("\"counters\""),
+                      std::string::npos);
+            if (jobs == 1)
+                one_worker_manifest = on.manifest;
+            EXPECT_EQ(one_worker_manifest, on.manifest);
+        }
+        for (const auto &session : off.result.sessions)
+            raw_upsets += session.rawUpsetEvents;
+    }
+    // Not vacuous: the micro campaign does see upsets.
+    EXPECT_GT(raw_upsets, 0u);
+}
+
+TEST(ScheduleResidency, PeakLiveCheckpointsBounded)
+{
+    // A seal starts only when no sealed session has an unclaimed unit,
+    // so every other live envelope then has its own worker (sealing,
+    // running one of its units, or freeing it): at most
+    // min(jobs, sessions) are resident, exactly one at --jobs 1.
+    const CampaignConfig config = microCampaign();
+    const size_t sessions = config.sessions.size();
+    for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ParallelRunConfig run;
+        run.jobs = jobs;
+        run.replicates = 2;
+        ParallelCampaignRunner runner(config, run);
+        runner.executeAll();
+        if (jobs == 1) {
+            EXPECT_EQ(runner.peakLiveCheckpoints(), 1u);
+        } else {
+            EXPECT_GE(runner.peakLiveCheckpoints(), 1u);
+            EXPECT_LE(runner.peakLiveCheckpoints(),
+                      std::min<size_t>(jobs, sessions));
+        }
+    }
+    ParallelRunConfig run;
+    run.jobs = 3;
+    run.checkpoint = false;
+    ParallelCampaignRunner runner(config, run);
+    runner.execute();
+    EXPECT_EQ(runner.peakLiveCheckpoints(), 0u);
+}
+
+TEST(ScheduleSingleSession, WorkersWaitForTheOnlySeal)
+{
+    // One session, four units, four workers: three of them find no
+    // sealed unit and nothing left to seal, so they must block on the
+    // seal in flight rather than exit or spin.
+    CampaignConfig config = microCampaign();
+    config.sessions.resize(1);
+    const ScheduledRun serial = runScheduled("single", config, 1, 4, true);
+    const ScheduledRun pooled = runScheduled("single", config, 4, 4, true);
+    expectSweepsBitIdentical(serial.result, pooled.result);
+    EXPECT_EQ(serial.traceBytes, pooled.traceBytes);
+    EXPECT_EQ(serial.manifest, pooled.manifest);
+    EXPECT_EQ(pooled.peakLiveCheckpoints, 1u);
 }
 
 TEST(SessionAggregateMerge, ChanMergeMatchesSequentialCounts)
