@@ -67,6 +67,17 @@ class BenchReport
         return *this;
     }
 
+    /** Add an array member of numbers. */
+    BenchReport &
+    addArray(const char *name, const std::vector<double> &values)
+    {
+        json_.beginArray(name);
+        for (const double value : values)
+            json_.value(value);
+        json_.endArray();
+        return *this;
+    }
+
     /** Open a nested object member. */
     BenchReport &
     beginSection(const char *name)

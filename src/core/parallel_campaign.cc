@@ -173,41 +173,59 @@ ParallelCampaignRunner::run(unsigned count, trace::TraceWriter *trace_writer)
     const telemetry::ShardScope caller_scope(
         run_.metrics != nullptr ? &run_.metrics->shard(0) : nullptr);
 
-    // One session-major task stream (DESIGN.md section 10): session s
-    // is a seal task (checkpoint mode) followed by its `count` unit
-    // tasks. The prefix never consumes the session seed (see
-    // TestSession), so one sealed envelope serves every replicate
-    // continuation. A worker takes the lowest unclaimed unit of a
-    // sealed session, seals the next session only when no such unit
-    // exists, and frees a session's envelope after its last unit. So
-    // at most min(jobs, sessions) envelopes are resident: when a seal
-    // starts, every other live envelope has a distinct worker on it
-    // (sealing, running one of its units, or freeing it). Results land
-    // in pre-sized slots keyed by unit index, so the schedule can
-    // never reorder them.
-    struct SessionTasks {
+    // One task stream in seal order (DESIGN.md section 10): one group
+    // per prefix key, in the order of each key's first session. A
+    // group is a seal task (checkpoint mode) followed by a unit task
+    // for every replicate of each of its sessions. The prefix never
+    // consumes the session seed (see TestSession) and is the same for
+    // every equal-key session, so one sealed envelope serves every
+    // continuation of the group.
+    //
+    // A worker takes the lowest unclaimed unit of a sealed group,
+    // issues the next seal only when no such unit exists, and frees a
+    // group's envelope after its last unit. So at most
+    // min(jobs, groups) envelopes are resident: when a seal starts,
+    // every other live envelope has a distinct worker on it (sealing,
+    // running one of its units, or freeing it). Results land in
+    // pre-sized slots keyed by unit index, so the schedule can never
+    // reorder them.
+    struct PrefixTasks {
+        std::vector<size_t> sessions;  ///< equal prefix keys, ascending
         std::vector<uint8_t> envelope;
         bool sealed = false;
-        unsigned claimed = 0;   ///< replicates handed to a worker
-        unsigned finished = 0;  ///< replicates whose unit returned
+        size_t units = 0;     ///< sessions.size() * count
+        size_t claimed = 0;   ///< units handed to a worker
+        size_t finished = 0;  ///< units whose run returned
     };
     std::vector<SessionResult> slots(units);
 
     // Scheduler state, all guarded by `mutex`. An envelope's bytes are
-    // the exception: they are stored before their session is marked
-    // sealed and freed only after its last unit returned, so units
+    // the exception: they are stored before their group is marked
+    // sealed and released only after its last unit returned, so units
     // read them unlocked. Without checkpoints there is nothing to
-    // seal, and every session's units are claimable from the start.
+    // seal, and every unit is claimable from the start.
     std::mutex mutex;
     std::condition_variable sealed_cv;  // notified by every finished seal
-    std::vector<SessionTasks> tasks(
-        num_sessions, SessionTasks{{}, !run_.checkpoint, 0, 0});
-    size_t next_seal = run_.checkpoint ? 0 : num_sessions;
-    size_t first_open = 0;  // no session below this has unclaimed units
+    std::vector<PrefixTasks> groups;
+    std::vector<size_t> group_of(num_sessions);
+    for (size_t s = 0; s < num_sessions; ++s) {
+        const size_t donor = executor.prefixDonor(s);
+        if (donor == s) {
+            group_of[s] = groups.size();
+            groups.emplace_back();
+            groups.back().sealed = !run_.checkpoint;
+        }
+        PrefixTasks &group = groups[group_of[donor]];
+        group.sessions.push_back(s);
+        group.units += count;
+    }
+    size_t next_seal = run_.checkpoint ? 0 : groups.size();
+    size_t first_open = 0;  // no group below this has unclaimed units
     size_t sealing = 0;     // seal tasks in flight
     size_t seals_done = 0;  // seal tasks finished
     size_t live = 0;        // envelopes sealing or sealed, not yet freed
     peakLiveCheckpoints_ = 0;
+    prefixesRun_ = 0;
 
     // Worker w records telemetry into shard w -- shards are never
     // shared, and the registry merge walks them in index order, so the
@@ -218,49 +236,71 @@ ParallelCampaignRunner::run(unsigned count, trace::TraceWriter *trace_writer)
                                     : nullptr);
         std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            while (first_open < num_sessions &&
-                   tasks[first_open].claimed == count)
+            while (first_open < groups.size() &&
+                   groups[first_open].claimed == groups[first_open].units)
                 ++first_open;
-            size_t session = first_open;
-            while (session < next_seal &&
-                   !(tasks[session].sealed &&
-                     tasks[session].claimed < count))
-                ++session;
-            if (session < next_seal) {
-                SessionTasks &task = tasks[session];
-                const unsigned replicate = task.claimed++;
+            size_t g = first_open;
+            while (g < next_seal &&
+                   !(groups[g].sealed && groups[g].claimed < groups[g].units))
+                ++g;
+            if (g < next_seal) {
+                PrefixTasks &group = groups[g];
+                const size_t claim = group.claimed++;
+                const size_t session = group.sessions[claim / count];
+                const unsigned replicate =
+                    static_cast<unsigned>(claim % count);
                 const size_t unit = replicate * num_sessions + session;
                 lock.unlock();
                 slots[unit] = executor.runUnitRecorded(
                     session, replicate,
                     tracing ? buffers[unit].get() : nullptr,
-                    run_.checkpoint ? &task.envelope : nullptr);
+                    run_.checkpoint ? &group.envelope : nullptr);
                 if (run_.progress != nullptr)
                     run_.progress->tick();
                 lock.lock();
-                if (run_.checkpoint && ++task.finished == count) {
+                if (run_.checkpoint && ++group.finished == group.units) {
                     // No unit reads the envelope any more. It sits
                     // above glibc's mmap threshold, so the free hands
                     // its pages straight back to the OS.
+                    std::vector<uint8_t> released =
+                        std::move(group.envelope);
                     lock.unlock();
-                    task.envelope = std::vector<uint8_t>();
+                    released = std::vector<uint8_t>();
                     lock.lock();
                     --live;
                 }
                 continue;
             }
-            if (next_seal < num_sessions) {
-                const size_t seal = next_seal++;
+            if (next_seal < groups.size()) {
+                PrefixTasks &group = groups[next_seal++];
                 ++sealing;
-                peakLiveCheckpoints_ =
-                    std::max(peakLiveCheckpoints_, ++live);
+                ++prefixesRun_;
+                peakLiveCheckpoints_ = std::max(peakLiveCheckpoints_, ++live);
                 lock.unlock();
-                std::vector<uint8_t> envelope = executor.sealPrefix(seal);
+                telemetry::MetricShard *shard = telemetry::activeShard();
+                telemetry::MetricShard recorded;
+                std::vector<uint8_t> envelope;
+                {
+                    const telemetry::ShardScope seal_scope(
+                        shard != nullptr ? &recorded : nullptr);
+                    envelope = executor.sealPrefix(group.sessions.front());
+                }
+                if (shard != nullptr) {
+                    // Each equal-key session counts the seal it shares:
+                    // its own prefix would have recorded exactly these
+                    // counters and distributions, so the manifest keeps
+                    // counting simulated work. Phase seconds record only
+                    // the prefix that ran.
+                    shard->merge(recorded);
+                    for (size_t k = 1; k < group.sessions.size(); ++k)
+                        shard->mergeCounts(recorded);
+                }
                 if (run_.progress != nullptr)
-                    run_.progress->tick();
+                    for (size_t k = 0; k < group.sessions.size(); ++k)
+                        run_.progress->tick();
                 lock.lock();
-                tasks[seal].envelope = std::move(envelope);
-                tasks[seal].sealed = true;
+                group.envelope = std::move(envelope);
+                group.sealed = true;
                 --sealing;
                 ++seals_done;
                 sealed_cv.notify_all();
@@ -275,8 +315,9 @@ ParallelCampaignRunner::run(unsigned count, trace::TraceWriter *trace_writer)
         }
     };
 
-    // One worker runs inline on the calling thread: seal session s,
-    // run its units, free its envelope, then session s + 1.
+    // One worker runs inline on the calling thread: seal a prefix,
+    // run the units of every session that shares it, free its
+    // envelope, then the next prefix in seal order.
     const size_t workers = std::min<size_t>(run_.jobs, units);
     if (workers <= 1) {
         worker(0);

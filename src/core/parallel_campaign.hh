@@ -139,15 +139,16 @@ struct ReplicatedCampaignResult {
  * the thread pool, the pre-allocated trace-buffer slots, and the
  * canonical post-drain merges.
  *
- * The pool streams sessions: in checkpoint mode each session is one
- * seal task (its golden prefix, sealed into an envelope) followed by
- * its replicate units. Workers take the lowest unclaimed unit of a
- * sealed session, seal the next session only when no such unit is
- * ready, and free a session's envelope when its last unit returns.
- * Resident envelopes are therefore bounded by min(jobs, sessions),
- * not by the session count -- one at --jobs 1, where the calling
- * thread seals a session, runs its units and frees it before moving
- * on (DESIGN.md section 10).
+ * The pool streams sessions: in checkpoint mode each distinct prefix
+ * key is one seal task (the golden prefix of its first session,
+ * sealed into an envelope) followed by the replicate units of every
+ * session with that key. Workers take the lowest unclaimed unit of a
+ * sealed prefix, seal the next prefix only when no such unit is
+ * ready, and free an envelope when its last unit returns. Each
+ * distinct golden prefix runs once, and resident envelopes are
+ * bounded by min(jobs, sessions), not by the session count -- one at
+ * --jobs 1, where the calling thread seals a prefix, runs its units
+ * and frees its envelope before moving on (DESIGN.md section 10).
  */
 class ParallelCampaignRunner
 {
@@ -176,6 +177,13 @@ class ParallelCampaignRunner
      */
     size_t peakLiveCheckpoints() const { return peakLiveCheckpoints_; }
 
+    /**
+     * Golden prefixes the last execute()/executeAll() ran: the
+     * number of distinct prefix keys, whatever the worker count; 0
+     * with checkpointing off.
+     */
+    size_t prefixesRun() const { return prefixesRun_; }
+
   private:
     /** Execute `count` replicates and return them in index order. */
     std::vector<CampaignResult>
@@ -184,6 +192,7 @@ class ParallelCampaignRunner
     CampaignConfig config_;
     ParallelRunConfig run_;
     size_t peakLiveCheckpoints_ = 0;
+    size_t prefixesRun_ = 0;
 };
 
 } // namespace xser::core

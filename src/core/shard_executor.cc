@@ -18,8 +18,9 @@ namespace xser::core {
 
 ShardExecutor::ShardExecutor(const CampaignConfig &config,
                              uint64_t base_seed, bool checkpoint)
-    : config_(config), baseSeed_(base_seed),
-      configHash_(campaignConfigHash(config)), checkpoint_(checkpoint)
+    : config_(config), donors_(prefixDonors(config.sessions)),
+      baseSeed_(base_seed), configHash_(campaignConfigHash(config)),
+      checkpoint_(checkpoint)
 {
     if (config_.sessions.empty())
         fatal("shard executor needs at least one session");
@@ -94,8 +95,10 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
         if (!view.ok)
             fatal(msg("refusing checkpoint for session ",
                       session_index, ": ", view.error));
-        XSER_ASSERT(view.sessionIndex == session_index,
-                    "checkpoint/session index mismatch");
+        XSER_ASSERT(view.sessionIndex < donors_.size() &&
+                        donors_[view.sessionIndex] ==
+                            donors_[session_index],
+                    "checkpoint sealed for another prefix key");
         XSER_ASSERT(view.configHash == configHash_,
                     "checkpoint/campaign config hash mismatch");
         SnapshotReader reader(view.payload, view.payloadSize);

@@ -46,6 +46,17 @@ class ShardExecutor
     bool checkpointing() const { return checkpoint_; }
 
     /**
+     * The session's prefix donor: the lowest-index session with an
+     * equal PrefixKey (core/test_session.hh). Sessions with the same
+     * donor have byte-identical prefix payloads and prefix telemetry,
+     * so one sealed envelope serves all of them (see runUnit).
+     */
+    size_t prefixDonor(size_t session_index) const
+    {
+        return donors_[session_index];
+    }
+
+    /**
      * Run the session's seed-independent golden prefix and seal it
      * into a checkpoint envelope (core/checkpoint.hh). Records the
      * seal telemetry (SessionsPrefixed, CheckpointKilobytes) on the
@@ -65,8 +76,10 @@ class ShardExecutor
     /**
      * Run one (session, replicate) unit on a fresh platform. When
      * `checkpoint` is non-null the unit restores the session's prefix
-     * from it and runs only the continuation; otherwise it replays
-     * the whole session. `buffer` may be null (tracing off).
+     * from it -- an envelope sealed for this session or for any
+     * session with the same prefix donor -- and runs only the
+     * continuation; otherwise it replays the whole session. `buffer`
+     * may be null (tracing off).
      */
     SessionResult runUnit(size_t session_index,
                           unsigned replicate_index,
@@ -86,6 +99,7 @@ class ShardExecutor
 
   private:
     CampaignConfig config_;
+    std::vector<size_t> donors_;
     uint64_t baseSeed_;
     uint64_t configHash_;
     bool checkpoint_;

@@ -36,6 +36,23 @@ SessionConfig::SessionConfig()
     scrub.l2PassPeriod = ticks::fromSeconds(1300e-6);
 }
 
+std::vector<size_t>
+prefixDonors(const std::vector<SessionConfig> &sessions)
+{
+    std::vector<PrefixKey> keys;
+    std::vector<size_t> donors;
+    for (const SessionConfig &session : sessions) {
+        keys.push_back({session.point.frequencyHz, session.workloadNames,
+                        session.scrub, session.quantumAccesses});
+        // runPrefix derives the scrub clock from frequencyHz.
+        keys.back().scrub.clockScale = 0.0;
+        donors.push_back(static_cast<size_t>(
+            std::find(keys.begin(), keys.end(), keys.back()) -
+            keys.begin()));
+    }
+    return donors;
+}
+
 double
 WorkloadSessionStats::equivalentMinutes(double beam_flux_per_second) const
 {

@@ -71,6 +71,34 @@ struct SessionConfig {
     SessionConfig();
 };
 
+/**
+ * The SessionConfig fields TestSession::runPrefix reads. The platform
+ * is campaign-wide, so sessions with equal keys compute the same
+ * golden prefix -- the same payload and the same prefix telemetry --
+ * and a campaign runs it once for all of them (DESIGN.md section 10).
+ * The supply voltages stay out: the beam-off prefix never reads them,
+ * and restorePrefix applies the session's own operating point before
+ * it restores. `scrub.clockScale` is kept at 0: runPrefix overwrites
+ * it from frequencyHz. Keep this in step with runPrefix;
+ * test_checkpoint's key-completeness test perturbs every SessionConfig
+ * field.
+ */
+struct PrefixKey {
+    double frequencyHz = 0.0;
+    std::vector<std::string> workloadNames;
+    mem::ScrubberConfig scrub;  ///< clockScale cleared
+    uint64_t quantumAccesses = 0;
+
+    bool operator==(const PrefixKey &) const = default;
+};
+
+/**
+ * Each session's prefix donor: the lowest index whose session has an
+ * equal PrefixKey. Sessions with the same donor share one golden
+ * prefix.
+ */
+std::vector<size_t> prefixDonors(const std::vector<SessionConfig> &sessions);
+
 /** Per-workload accounting within a session (Fig. 5's resolution). */
 struct WorkloadSessionStats {
     std::string name;

@@ -40,6 +40,8 @@ struct ScrubberConfig {
      *  traffic in the campaign configuration; see test_session.cc). */
     bool l2Enabled = true;
     bool l3Enabled = true;
+
+    bool operator==(const ScrubberConfig &) const = default;
 };
 
 /**

@@ -16,6 +16,7 @@
 #include "core/parallel_campaign.hh"
 #include "core/report_export.hh"
 #include "core/run_manifest.hh"
+#include "core/test_session.hh"
 #include "mem/edac_reporter.hh"
 #include "mem/memory_system.hh"
 #include "net/frame.hh"
@@ -60,6 +61,7 @@ struct Campaign {
     std::string tracePath;
     core::CampaignConfig config;
     size_t numSessions = 0;
+    std::vector<size_t> prefixDonors; ///< core::prefixDonors(sessions)
 
     std::deque<PendingShard> pending;
     std::vector<UnitSlot> units; ///< replicate-major, like local runs
@@ -94,8 +96,9 @@ struct Connection {
     bool busy = false;
     uint64_t shardCampaign = 0;
     PendingShard shard;
-    /** Sessions this worker has prefixed, per campaign (affinity). */
-    std::map<uint64_t, std::set<uint32_t>> sessionsServed;
+    /** Prefix donors of the sessions this worker has prefixed, per
+     *  campaign (affinity). */
+    std::map<uint64_t, std::set<size_t>> prefixesServed;
 
     /* Client state. */
     uint64_t watching = 0;
@@ -334,6 +337,8 @@ class Server
         campaign->tracePath = submit.tracePath;
         campaign->config = std::move(config);
         campaign->numSessions = campaign->config.sessions.size();
+        campaign->prefixDonors =
+            core::prefixDonors(campaign->config.sessions);
         campaign->units.resize(campaign->numSessions *
                                submit.params.replicates);
         campaign->prefixTelemetrySeen.assign(campaign->numSessions,
@@ -697,33 +702,36 @@ class Server
             }
             if (chosen == nullptr)
                 return;
-            // Session affinity: sealing a golden prefix is a fixed
-            // per-(worker, session) cost, so (1) prefer a shard whose
-            // session this worker has already prefixed, then (2) a
-            // session no worker has touched yet -- spreading fresh
-            // sessions instead of piling every worker onto the queue
+            // Prefix affinity: running a golden prefix is a fixed
+            // per-(worker, prefix key) cost -- a worker reuses a held
+            // equal-key prefix for free -- so (1) prefer a shard
+            // whose prefix this worker already holds, then (2) a
+            // prefix no worker has touched yet -- spreading fresh
+            // prefixes instead of piling every worker onto the queue
             // front. Any shard is still stealable -- an idle worker
             // falls through to the queue front -- and the canonical
             // merge makes the choice invisible in the output bytes.
             auto it = chosen->pending.begin();
+            const std::vector<size_t> &donors = chosen->prefixDonors;
             if (chosen->params.checkpoint) {
-                const std::set<uint32_t> &served =
-                    connection.sessionsServed[chosen->id];
-                std::set<uint32_t> anyone;
+                const std::set<size_t> &served =
+                    connection.prefixesServed[chosen->id];
+                std::set<size_t> anyone;
                 for (const auto &other : connections_)
                     if (other.second->kind == Connection::Kind::Worker)
-                        for (uint32_t session :
-                             other.second->sessionsServed[chosen->id])
-                            anyone.insert(session);
+                        for (size_t donor :
+                             other.second->prefixesServed[chosen->id])
+                            anyone.insert(donor);
                 auto fresh = chosen->pending.end();
                 for (auto cand = chosen->pending.begin();
                      cand != chosen->pending.end(); ++cand) {
-                    if (served.count(cand->session) != 0) {
+                    const size_t donor = donors[cand->session];
+                    if (served.count(donor) != 0) {
                         fresh = cand;
                         break;
                     }
                     if (fresh == chosen->pending.end() &&
-                        anyone.count(cand->session) == 0)
+                        anyone.count(donor) == 0)
                         fresh = cand;
                 }
                 if (fresh != chosen->pending.end())
@@ -731,7 +739,8 @@ class Server
             }
             const PendingShard shard = *it;
             chosen->pending.erase(it);
-            connection.sessionsServed[chosen->id].insert(shard.session);
+            connection.prefixesServed[chosen->id].insert(
+                donors[shard.session]);
             connection.busy = true;
             connection.shardCampaign = chosen->id;
             connection.shard = shard;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/parallel_campaign.hh"
@@ -25,17 +26,19 @@ namespace xser::service {
 
 namespace {
 
-/** Cached per-session prefix state within one campaign. */
-struct PrefixEntry {
+/** The golden prefix one campaign holds for one prefix key. */
+struct HeldPrefix {
+    /** Sealed envelope, addressed to the session that sealed it. */
     std::vector<uint8_t> checkpoint;
-    std::string telemetryBlob; ///< cleared once sent
+    telemetry::MetricShard recorded; ///< what running the prefix recorded
 };
 
 /** Everything the worker caches for one campaign. */
 struct WorkerCampaign {
     CampaignParams params;
     std::unique_ptr<core::ShardExecutor> executor;
-    std::map<uint32_t, PrefixEntry> prefixes;
+    std::map<size_t, HeldPrefix> prefixes;   ///< by prefix donor
+    std::set<uint32_t> prefixTelemetrySent; ///< sessions reported
 };
 
 class Worker
@@ -192,25 +195,29 @@ class Worker
 
         const std::vector<uint8_t> *checkpoint = nullptr;
         if (assign.params.checkpoint) {
-            PrefixEntry &entry = campaign.prefixes[assign.session];
-            if (entry.checkpoint.empty()) {
-                // Seal into a dedicated telemetry shard so the server
-                // can reproduce the local once-per-session prefix
-                // accounting (it keeps the first blob per session).
-                telemetry::MetricShard prefix_shard;
-                {
-                    const telemetry::ShardScope scope(&prefix_shard);
-                    entry.checkpoint =
-                        executor.sealPrefix(assign.session);
-                }
-                entry.telemetryBlob = encodeMetricShard(prefix_shard);
+            // One envelope per prefix key, sealed on the key's first
+            // shard and read by every equal-key session's units. The
+            // seal's telemetry is kept so the server can reproduce the
+            // local once-per-session prefix accounting (it keeps the
+            // first blob per session): a session that reuses the key
+            // reports its counts, but no seconds for a prefix it did
+            // not run.
+            HeldPrefix &held =
+                campaign.prefixes[executor.prefixDonor(assign.session)];
+            const bool seal = held.checkpoint.empty();
+            if (seal) {
+                const telemetry::ShardScope scope(&held.recorded);
+                held.checkpoint = executor.sealPrefix(assign.session);
             }
-            if (!entry.telemetryBlob.empty()) {
+            const bool first_report =
+                campaign.prefixTelemetrySent.insert(assign.session).second;
+            if (first_report) {
+                telemetry::MetricShard replayed;
+                replayed.mergeCounts(held.recorded);
                 result.prefixTelemetry =
-                    std::move(entry.telemetryBlob);
-                entry.telemetryBlob.clear();
+                    encodeMetricShard(seal ? held.recorded : replayed);
             }
-            checkpoint = &entry.checkpoint;
+            checkpoint = &held.checkpoint;
         }
 
         telemetry::MetricShard shard_telemetry;

@@ -98,13 +98,19 @@ MetricShard::MetricShard()
 void
 MetricShard::merge(const MetricShard &other)
 {
+    mergeCounts(other);
+    for (size_t p = 0; p < numPhases; ++p)
+        phaseSeconds[p] += other.phaseSeconds[p];
+    unitsExecuted += other.unitsExecuted;
+}
+
+void
+MetricShard::mergeCounts(const MetricShard &other)
+{
     for (size_t c = 0; c < numCounters; ++c)
         counters[c] += other.counters[c];
     for (size_t d = 0; d < numDists; ++d)
         dists[d].merge(other.dists[d]);
-    for (size_t p = 0; p < numPhases; ++p)
-        phaseSeconds[p] += other.phaseSeconds[p];
-    unitsExecuted += other.unitsExecuted;
 }
 
 MetricRegistry::MetricRegistry(unsigned shards)

@@ -36,7 +36,7 @@ namespace xser::telemetry {
 /** Deterministic event counters (values independent of --jobs). */
 enum class Counter : uint32_t {
     UnitsCompleted,        ///< (session, replicate) units finished
-    SessionsPrefixed,      ///< golden prefixes executed (seal tasks)
+    SessionsPrefixed,      ///< sessions given a sealed golden prefix
     CheckpointsSealed,     ///< checkpoint envelopes written
     CheckpointSealedBytes, ///< total sealed envelope bytes
     CheckpointsOpened,     ///< envelopes validated and restored
@@ -126,6 +126,14 @@ class MetricShard
 
     /** Fold another shard in (index order gives canonical totals). */
     void merge(const MetricShard &other);
+
+    /**
+     * Fold in only the deterministic part -- counters and
+     * distributions, no timing. Replays a golden prefix's recorded
+     * seal for each further session that shares it (DESIGN.md
+     * section 10).
+     */
+    void mergeCounts(const MetricShard &other);
 };
 
 /**

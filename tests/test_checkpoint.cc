@@ -11,16 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/beam_campaign.hh"
 #include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
+#include "core/shard_executor.hh"
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
 #include "sim/snapshot.hh"
+#include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
 
 namespace xser::core {
@@ -366,6 +370,173 @@ TEST_F(CheckpointForkDeterminism, TraceBytesIdenticalOnAndOff)
     const std::string on_bytes = readFileBytes(on_path);
     ASSERT_FALSE(off_bytes.empty());
     EXPECT_EQ(off_bytes, on_bytes);
+}
+
+/** The smallest real prefix: EP only, no warm-up, two measured runs. */
+SessionConfig
+microSession()
+{
+    SessionConfig config;
+    config.workloadNames = {"EP"};
+    config.maxErrorEvents = 2;
+    config.maxFluence = 5e8;
+    config.maxRuns = 2;
+    config.warmupRounds = 0;
+    return config;
+}
+
+/** What sealing one session's prefix produces. */
+struct SealOutcome {
+    std::vector<uint8_t> payload;     ///< envelope minus its header
+    telemetry::MetricShard recorded;  ///< the seal's telemetry
+};
+
+SealOutcome
+sealSession(const ShardExecutor &executor, size_t session)
+{
+    SealOutcome out;
+    std::vector<uint8_t> envelope;
+    {
+        const telemetry::ShardScope scope(&out.recorded);
+        envelope = executor.sealPrefix(session);
+    }
+    const CheckpointView view = openCheckpoint(envelope);
+    EXPECT_TRUE(view.ok) << view.error;
+    out.payload.assign(view.payload, view.payload + view.payloadSize);
+    return out;
+}
+
+void
+expectSameCounts(const telemetry::MetricShard &a,
+                 const telemetry::MetricShard &b)
+{
+    EXPECT_EQ(a.counters, b.counters);
+    for (size_t d = 0; d < telemetry::numDists; ++d) {
+        SCOPED_TRACE(telemetry::distName(static_cast<telemetry::Dist>(d)));
+        const Histogram &x = a.dists[d];
+        const Histogram &y = b.dists[d];
+        EXPECT_EQ(x.total(), y.total());
+        EXPECT_EQ(x.underflow(), y.underflow());
+        EXPECT_EQ(x.overflow(), y.overflow());
+        for (size_t bin = 0; bin < x.bins(); ++bin)
+            EXPECT_EQ(x.binCount(bin), y.binCount(bin));
+    }
+}
+
+TEST(PrefixKey, EveryFieldKeysThePrefixOrLeavesItUnchanged)
+{
+    // Sessions with equal prefix keys share one sealed prefix, so a
+    // SessionConfig field that runPrefix reads but the key misses
+    // would hand a session another session's prefix -- silently
+    // wrong. Perturb every field in turn: either the session gets a
+    // donor of its own, or sealing it yields the unperturbed payload
+    // and the unperturbed prefix telemetry, byte for byte.
+    trace::TraceBuffer sink(16);
+    using Edit = std::function<void(SessionConfig &)>;
+    const std::vector<std::pair<std::string, Edit>> edits = {
+        {"pmd 930 mV", [](auto &c) { c.point.pmdMillivolts = 930.0; }},
+        {"pmd 850 mV, sub-Vmin",
+         [](auto &c) { c.point.pmdMillivolts = 850.0; }},
+        {"soc 925 mV", [](auto &c) { c.point.socMillivolts = 925.0; }},
+        {"soc 800 mV, sub-Vmin",
+         [](auto &c) { c.point.socMillivolts = 800.0; }},
+        {"frequency 0.9 GHz",
+         [](auto &c) { c.point.frequencyHz = 0.9e9; }},
+        {"frequency 1.2 GHz",
+         [](auto &c) { c.point.frequencyHz = 1.2e9; }},
+        {"point name Vmin", [](auto &c) { c.point.name = "Vmin"; }},
+        {"point name empty", [](auto &c) { c.point.name.clear(); }},
+        {"workloads IS", [](auto &c) { c.workloadNames = {"IS"}; }},
+        {"workloads EP IS",
+         [](auto &c) { c.workloadNames = {"EP", "IS"}; }},
+        {"workloads IS EP",
+         [](auto &c) { c.workloadNames = {"IS", "EP"}; }},
+        {"max events 1", [](auto &c) { c.maxErrorEvents = 1; }},
+        {"max events 500", [](auto &c) { c.maxErrorEvents = 500; }},
+        {"max fluence 1e7", [](auto &c) { c.maxFluence = 1e7; }},
+        {"max fluence 1e12", [](auto &c) { c.maxFluence = 1e12; }},
+        {"max runs 1", [](auto &c) { c.maxRuns = 1; }},
+        {"max runs 64", [](auto &c) { c.maxRuns = 64; }},
+        {"fluence per run x2", [](auto &c) { c.fluencePerRun *= 2.0; }},
+        {"fluence per run /4", [](auto &c) { c.fluencePerRun /= 4.0; }},
+        {"warm-up 1", [](auto &c) { c.warmupRounds = 1; }},
+        {"warm-up 8", [](auto &c) { c.warmupRounds = 8; }},
+        {"beam environment NYC",
+         [](auto &c) { c.beam.environment = rad::nycSeaLevel(); }},
+        {"beam environment centre",
+         [](auto &c) { c.beam.environment = rad::tnfBeamCenter(); }},
+        {"beam time scale 2", [](auto &c) { c.beam.timeScale = 2.0; }},
+        {"beam time scale 0.5", [](auto &c) { c.beam.timeScale = 0.5; }},
+        {"beam seed 1", [](auto &c) { c.beam.seed = 1; }},
+        {"beam seed 2", [](auto &c) { c.beam.seed = 2; }},
+        {"beam skip-ahead off", [](auto &c) { c.beam.skipAhead = false; }},
+        {"beam interleaving none",
+         [](auto &c) { c.beam.interleaved.fill(false); }},
+        {"beam interleaving all",
+         [](auto &c) { c.beam.interleaved.fill(true); }},
+        {"scrub L2 period x2",
+         [](auto &c) { c.scrub.l2PassPeriod *= 2; }},
+        {"scrub L2 period /2",
+         [](auto &c) { c.scrub.l2PassPeriod /= 2; }},
+        {"scrub L3 period x2",
+         [](auto &c) { c.scrub.l3PassPeriod *= 2; }},
+        {"scrub L3 period /2",
+         [](auto &c) { c.scrub.l3PassPeriod /= 2; }},
+        {"scrub off", [](auto &c) { c.scrub.enabled = false; }},
+        {"scrub clock scale 0.5",
+         [](auto &c) { c.scrub.clockScale = 0.5; }},
+        {"scrub clock scale 2", [](auto &c) { c.scrub.clockScale = 2.0; }},
+        {"scrub L2 off", [](auto &c) { c.scrub.l2Enabled = false; }},
+        {"scrub L3 on", [](auto &c) { c.scrub.l3Enabled = true; }},
+        {"quantum 2048", [](auto &c) { c.quantumAccesses = 2048; }},
+        {"quantum 8192", [](auto &c) { c.quantumAccesses = 8192; }},
+        {"seed 1", [](auto &c) { c.seed = 1; }},
+        {"seed 2", [](auto &c) { c.seed = 2; }},
+        {"trace sink", [&sink](auto &c) { c.traceSink = &sink; }},
+    };
+
+    CampaignConfig config;
+    config.sessions = {microSession()};
+    const SealOutcome base = sealSession(ShardExecutor(config, 1, true), 0);
+    size_t shared = 0;
+    for (const auto &[label, edit] : edits) {
+        SCOPED_TRACE(label);
+        config.sessions.resize(1);
+        config.sessions.push_back(microSession());
+        edit(config.sessions.back());
+        const ShardExecutor executor(config, 1, true);
+        if (executor.prefixDonor(1) != 0)
+            continue;
+        ++shared;
+        const SealOutcome perturbed = sealSession(executor, 1);
+        EXPECT_TRUE(perturbed.payload == base.payload);
+        expectSameCounts(base.recorded, perturbed.recorded);
+    }
+    // Not vacuous: most fields are continuation-only and do share.
+    EXPECT_GE(shared, 20u);
+}
+
+TEST(PrefixKey, UnitsForkFromAnEqualKeySessionsEnvelope)
+{
+    // One sealed prefix serves every equal-key session: a unit forked
+    // from its donor's envelope equals the unit forked from its own
+    // envelope and the unit that replays the whole session.
+    CampaignConfig config;
+    config.sessions = {microSession(), microSession()};
+    config.sessions[1].point = volt::vminPoint();
+    const ShardExecutor executor(config, 1, true);
+    ASSERT_EQ(executor.prefixDonor(1), 0u);
+    const std::vector<uint8_t> donor = executor.sealPrefix(0);
+    const std::vector<uint8_t> own = executor.sealPrefix(1);
+    for (const unsigned replicate : {0u, 1u}) {
+        SCOPED_TRACE(replicate);
+        const SessionResult shared =
+            executor.runUnit(1, replicate, nullptr, &donor);
+        expectSessionsBitIdentical(
+            executor.runUnit(1, replicate, nullptr, &own), shared);
+        expectSessionsBitIdentical(
+            executor.runUnit(1, replicate, nullptr, nullptr), shared);
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/beam_campaign.hh"
 #include "core/fit_calculator.hh"
@@ -284,6 +285,34 @@ microCampaign(uint64_t seed = 0x5e5510ULL)
     return config;
 }
 
+/**
+ * microCampaign's four operating points arranged as a prefix-key
+ * pattern. AAAB is the paper's order: three 2.4 GHz points share one
+ * golden prefix, the 900 MHz point has its own. ABAB alternates the
+ * two clocks (the second 900 MHz point at 800 mV). ABCD gives every
+ * session its own key: a shorter quantum and a 1.2 GHz clock.
+ */
+CampaignConfig
+keyedCampaign(const std::string &order)
+{
+    CampaignConfig config = microCampaign();
+    std::vector<SessionConfig> &s = config.sessions;
+    if (order == "ABAB") {
+        SessionConfig slow = s[3];
+        slow.point.pmdMillivolts = 800.0;
+        s = {s[0], s[3], s[1], slow};
+    } else if (order == "ABCD") {
+        s = {s[0], s[3], s[1], s[2]};
+        s[2].quantumAccesses = 2048;
+        s[3].point.frequencyHz = 1.2e9;
+    }
+    return config;
+}
+
+/** The session orders of the schedule tests, with their key counts. */
+const std::vector<std::pair<std::string, size_t>> keyOrders = {
+    {"AAAB", 2}, {"ABAB", 2}, {"ABCD", 4}};
+
 std::string
 readFileBytes(const std::string &path)
 {
@@ -298,7 +327,9 @@ struct ScheduledRun {
     ReplicatedCampaignResult result;
     std::string traceBytes;
     std::string manifest;  ///< rendered manifest up to "timing"
+    telemetry::MetricShard metrics;  ///< merged registry
     size_t peakLiveCheckpoints = 0;
+    size_t prefixesRun = 0;
 };
 
 ScheduledRun
@@ -323,6 +354,8 @@ runScheduled(const std::string &tag, const CampaignConfig &config,
     }
     out.traceBytes = readFileBytes(path);
     out.peakLiveCheckpoints = runner.peakLiveCheckpoints();
+    out.prefixesRun = runner.prefixesRun();
+    out.metrics = registry.merged();
 
     ManifestRunInfo info;
     info.tool = "test";
@@ -354,70 +387,94 @@ expectSweepsBitIdentical(const ReplicatedCampaignResult &a,
 
 TEST(ScheduleIndependence, GridMatchesSequentialCheckpointOffAndOneWorker)
 {
-    // The streamed seal/unit schedule must be invisible: on every cell
-    // of jobs {1, 2, 3, 8} x replicates {1, 2, 5} a checkpointed run
+    // The streamed seal/unit schedule and the shared golden prefixes
+    // must be invisible: for every session order and on every cell of
+    // jobs {1, 2, 3, 8} x replicates {1, 2, 5}, a checkpointed run
     // equals the sequential campaign (replicate 0), the checkpoint-off
     // run (results and trace bytes) and the 1-worker run (manifest
-    // outside "timing").
-    const CampaignConfig config = microCampaign();
-    const CampaignResult sequential = BeamCampaign(config).execute();
-    uint64_t raw_upsets = 0;
-    for (const unsigned replicates : {1u, 2u, 5u}) {
-        const ScheduledRun off =
-            runScheduled("grid", config, 1, replicates, false);
-        ASSERT_FALSE(off.traceBytes.empty());
-        std::string one_worker_manifest;
-        for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
-            SCOPED_TRACE("jobs " + std::to_string(jobs) +
-                         " replicates " + std::to_string(replicates));
-            const ScheduledRun on =
-                runScheduled("grid", config, jobs, replicates, true);
-            expectCampaignsBitIdentical(sequential,
-                                        on.result.replicates[0]);
-            expectSweepsBitIdentical(off.result, on.result);
-            EXPECT_EQ(off.traceBytes, on.traceBytes);
-            ASSERT_NE(on.manifest.find("\"counters\""),
-                      std::string::npos);
-            if (jobs == 1)
-                one_worker_manifest = on.manifest;
-            EXPECT_EQ(one_worker_manifest, on.manifest);
+    // outside "timing"). Every session still counts one sealed prefix
+    // and every unit one opened checkpoint, while the pool runs one
+    // prefix per distinct key.
+    for (const auto &[order, keys] : keyOrders) {
+        const CampaignConfig config = keyedCampaign(order);
+        const size_t sessions = config.sessions.size();
+        const CampaignResult sequential = BeamCampaign(config).execute();
+        uint64_t raw_upsets = 0;
+        for (const unsigned replicates : {1u, 2u, 5u}) {
+            const ScheduledRun off =
+                runScheduled(order, config, 1, replicates, false);
+            ASSERT_FALSE(off.traceBytes.empty());
+            EXPECT_EQ(off.prefixesRun, 0u);
+            std::string one_worker_manifest;
+            for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+                SCOPED_TRACE(order + " jobs " + std::to_string(jobs) +
+                             " replicates " +
+                             std::to_string(replicates));
+                const ScheduledRun on =
+                    runScheduled(order, config, jobs, replicates, true);
+                expectCampaignsBitIdentical(sequential,
+                                            on.result.replicates[0]);
+                expectSweepsBitIdentical(off.result, on.result);
+                EXPECT_EQ(off.traceBytes, on.traceBytes);
+                ASSERT_NE(on.manifest.find("\"counters\""),
+                          std::string::npos);
+                const auto &counters = on.metrics.counters;
+                using telemetry::Counter;
+                EXPECT_EQ(counters[static_cast<size_t>(
+                              Counter::SessionsPrefixed)],
+                          sessions);
+                EXPECT_EQ(counters[static_cast<size_t>(
+                              Counter::CheckpointsSealed)],
+                          sessions);
+                EXPECT_EQ(counters[static_cast<size_t>(
+                              Counter::CheckpointsOpened)],
+                          sessions * replicates);
+                EXPECT_EQ(on.prefixesRun, keys);
+                if (jobs == 1)
+                    one_worker_manifest = on.manifest;
+                EXPECT_EQ(one_worker_manifest, on.manifest);
+            }
+            for (const auto &session : off.result.sessions)
+                raw_upsets += session.rawUpsetEvents;
         }
-        for (const auto &session : off.result.sessions)
-            raw_upsets += session.rawUpsetEvents;
+        // Not vacuous: the micro campaign does see upsets.
+        EXPECT_GT(raw_upsets, 0u);
     }
-    // Not vacuous: the micro campaign does see upsets.
-    EXPECT_GT(raw_upsets, 0u);
 }
 
 TEST(ScheduleResidency, PeakLiveCheckpointsBounded)
 {
-    // A seal starts only when no sealed session has an unclaimed unit,
-    // so every other live envelope then has its own worker (sealing,
+    // A seal starts only when no sealed prefix has an unclaimed unit,
+    // so every other live envelope has its own worker (sealing,
     // running one of its units, or freeing it): at most
-    // min(jobs, sessions) are resident, exactly one at --jobs 1.
-    const CampaignConfig config = microCampaign();
-    const size_t sessions = config.sessions.size();
-    for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
-        SCOPED_TRACE("jobs " + std::to_string(jobs));
-        ParallelRunConfig run;
-        run.jobs = jobs;
-        run.replicates = 2;
-        ParallelCampaignRunner runner(config, run);
-        runner.executeAll();
-        if (jobs == 1) {
-            EXPECT_EQ(runner.peakLiveCheckpoints(), 1u);
-        } else {
-            EXPECT_GE(runner.peakLiveCheckpoints(), 1u);
-            EXPECT_LE(runner.peakLiveCheckpoints(),
-                      std::min<size_t>(jobs, sessions));
+    // min(jobs, keys) are resident -- within min(jobs, sessions) --
+    // exactly one at --jobs 1, whatever the session order.
+    for (const auto &[order, keys] : keyOrders) {
+        const CampaignConfig config = keyedCampaign(order);
+        for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+            SCOPED_TRACE(order + " jobs " + std::to_string(jobs));
+            ParallelRunConfig run;
+            run.jobs = jobs;
+            run.replicates = 2;
+            ParallelCampaignRunner runner(config, run);
+            runner.executeAll();
+            EXPECT_EQ(runner.prefixesRun(), keys);
+            if (jobs == 1) {
+                EXPECT_EQ(runner.peakLiveCheckpoints(), 1u);
+            } else {
+                EXPECT_GE(runner.peakLiveCheckpoints(), 1u);
+                EXPECT_LE(runner.peakLiveCheckpoints(),
+                          std::min<size_t>(jobs, keys));
+            }
         }
     }
     ParallelRunConfig run;
     run.jobs = 3;
     run.checkpoint = false;
-    ParallelCampaignRunner runner(config, run);
+    ParallelCampaignRunner runner(microCampaign(), run);
     runner.execute();
     EXPECT_EQ(runner.peakLiveCheckpoints(), 0u);
+    EXPECT_EQ(runner.prefixesRun(), 0u);
 }
 
 TEST(ScheduleSingleSession, WorkersWaitForTheOnlySeal)
